@@ -1,19 +1,43 @@
 #include "cluster/network.h"
 
+#include <algorithm>
+#include <cmath>
+
 namespace sdps::cluster {
 
-des::Task<> Link::Transfer(int64_t bytes) {
+SimTime Link::TxTime(int64_t bytes) const {
   SDPS_CHECK_GE(bytes, 0);
   // rate_scale_ is exactly 1.0 outside fault windows, so the multiply is an
   // IEEE-754 identity and fault-free runs stay bit-identical to pre-chaos.
-  const SimTime tx = static_cast<SimTime>(
+  return static_cast<SimTime>(
       std::llround(static_cast<double>(bytes) / (bytes_per_sec_ * rate_scale_) * 1e6));
-  co_await line_.Use(tx);
-  bytes_transferred_ += bytes;
-  if (latency_ > 0) co_await des::Delay(sim_, latency_);
 }
 
-des::Task<> Link::TransferBatch(const int64_t* bytes, size_t n, SimTime* completions) {
+SimTime Link::Admit(SimTime tx, int64_t bytes) {
+  const SimTime now = sim_.now();
+  // Count what has left the line, then drop it from the list (all of it
+  // when the line has drained; the counted prefix once it is half the list).
+  size_t i = head_;
+  while (i < in_flight_.size() && in_flight_[i].done <= now) bytes_done_ += in_flight_[i++].bytes;
+  if (i == in_flight_.size()) {
+    in_flight_.clear();
+    i = 0;
+  } else if (i >= 64 && 2 * i >= in_flight_.size()) {
+    in_flight_.erase(in_flight_.begin(), in_flight_.begin() + static_cast<ptrdiff_t>(i));
+    i = 0;
+  }
+  head_ = i;
+  busy_until_ = std::max(now, busy_until_) + tx;
+  in_flight_.push_back({busy_until_, bytes});
+  return busy_until_;
+}
+
+des::Delay Link::Transfer(int64_t bytes) {
+  const SimTime done = Admit(TxTime(bytes), bytes);
+  return des::Delay(sim_, done + latency_ - sim_.now());
+}
+
+des::Delay Link::TransferBatch(const int64_t* bytes, size_t n, SimTime* completions) {
   SDPS_CHECK_GT(n, 0u);
   // Per-item transmission times computed with the exact Transfer()
   // expression, so the per-item schedule is bit-identical to n serial
@@ -21,19 +45,25 @@ des::Task<> Link::TransferBatch(const int64_t* bytes, size_t n, SimTime* complet
   SimTime total_tx = 0;
   int64_t total_bytes = 0;
   for (size_t i = 0; i < n; ++i) {
-    SDPS_CHECK_GE(bytes[i], 0);
-    const SimTime tx = static_cast<SimTime>(std::llround(
-        static_cast<double>(bytes[i]) / (bytes_per_sec_ * rate_scale_) * 1e6));
-    total_tx += tx;
+    total_tx += TxTime(bytes[i]);
     total_bytes += bytes[i];
     if (completions != nullptr) completions[i] = total_tx;  // prefix sum for now
   }
-  const SimTime start = co_await line_.Use(total_tx);
+  const SimTime done = Admit(total_tx, total_bytes);
   if (completions != nullptr) {
-    for (size_t i = 0; i < n; ++i) completions[i] += start + latency_;
+    const SimTime offset = done - total_tx + latency_;  // service start + latency
+    for (size_t i = 0; i < n; ++i) completions[i] += offset;
   }
-  bytes_transferred_ += total_bytes;
-  if (latency_ > 0) co_await des::Delay(sim_, latency_);
+  return des::Delay(sim_, done + latency_ - sim_.now());
+}
+
+int64_t Link::bytes_transferred() const {
+  const SimTime now = sim_.now();
+  int64_t bytes = bytes_done_;
+  for (size_t i = head_; i < in_flight_.size() && in_flight_[i].done <= now; ++i) {
+    bytes += in_flight_[i].bytes;
+  }
+  return bytes;
 }
 
 }  // namespace sdps::cluster

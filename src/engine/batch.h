@@ -4,11 +4,13 @@
 // A RecordBatch is a run of records that entered the data plane together:
 // the generator emits one burst per wakeup, DriverQueue::PopBatch hands a
 // source up to `batch` queued records per resume, and the FIFO resources
-// (cluster::Link lines, worker CPUs) admit the whole run with one heap
-// event. Per-record event-times, lineage stamps, metering, and window
-// mutations are all preserved — batching coalesces *scheduling*, not
-// semantics. `--batch=1` reproduces the per-record code paths structurally
-// (every batched call site delegates to the serial primitive at k == 1).
+// admit the whole run with one heap event: a worker CPU
+// (des::Resource::UseBatch) schedules one completion, a cluster::Link hop
+// one resumption at the run's arrival. Per-record event-times, lineage
+// stamps, metering, and window mutations are all preserved — batching
+// coalesces *scheduling*, not semantics. `--batch=1` reproduces the
+// per-record code paths structurally (every batched call site delegates to
+// the serial primitive at k == 1).
 #ifndef SDPS_ENGINE_BATCH_H_
 #define SDPS_ENGINE_BATCH_H_
 
