@@ -45,7 +45,7 @@ std::atomic<int> g_write_failures{0};
 /// before any bench code runs).
 int g_jobs = 1;
 
-/// Data-plane batch size from --batch=N (1 = per-record scheduling).
+/// Data-plane batch size from --batch=N (1 = one record per admission).
 int g_batch = 1;
 
 /// Realtime backend requested via --realtime.

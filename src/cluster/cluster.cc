@@ -52,64 +52,65 @@ const Cluster::Nic& Cluster::nic(const Node& node) const {
   return master_nic_;
 }
 
-des::Task<> Cluster::Send(Node& from, Node& to, int64_t bytes) {
-  if (from.id() == to.id()) co_return;  // in-process handoff
-  static obs::Counter* net_transfers =
-      obs::Registry::Default().GetCounter("cluster.net.transfers");
-  static obs::Counter* net_bytes =
-      obs::Registry::Default().GetCounter("cluster.net.bytes");
-  net_transfers->Add(1);
-  net_bytes->Add(static_cast<uint64_t>(bytes));
-  co_await nic(from).out->Transfer(bytes);
-  const bool crosses_trunk = from.group() != to.group();
-  if (crosses_trunk) {
-    static obs::Counter* trunk_bytes =
-        obs::Registry::Default().GetCounter("cluster.net.trunk_bytes");
-    trunk_bytes->Add(static_cast<uint64_t>(bytes));
-    Link& trunk = (to.group() == NodeGroup::kWorker || to.group() == NodeGroup::kMaster)
-                      ? *trunk_ingest_
-                      : *trunk_egress_;
-    co_await trunk.Transfer(bytes);
-  }
-  co_await nic(to).in->Transfer(bytes);
+Cluster::SendAwaiter Cluster::Send(Node& from, Node& to, int64_t bytes) {
+  SendAwaiter send(*this, from, to, nullptr, 1, nullptr);
+  send.one_ = bytes;
+  return send;
 }
 
-des::Task<> Cluster::SendBatch(Node& from, Node& to, const int64_t* bytes, size_t n,
-                               SimTime* arrivals) {
+Cluster::SendAwaiter Cluster::SendBatch(Node& from, Node& to, const int64_t* bytes,
+                                        size_t n, SimTime* arrivals) {
+  SDPS_CHECK(bytes != nullptr);
+  return SendAwaiter(*this, from, to, bytes, n, arrivals);
+}
+
+Cluster::SendAwaiter::SendAwaiter(Cluster& cluster, Node& from, Node& to,
+                                  const int64_t* bytes, size_t n, SimTime* arrivals)
+    : cluster_(cluster), bytes_(bytes), n_(n), arrivals_(arrivals) {
   SDPS_CHECK_GT(n, 0u);
-  if (n == 1) {
-    // Delegate so a 1-record batch is the exact Send() event sequence.
-    co_await Send(from, to, bytes[0]);
-    if (arrivals != nullptr) arrivals[0] = sim_.now();
-    co_return;
+  if (from.id() == to.id()) return;  // in-process handoff: no hops
+  hops_[num_hops_++] = cluster.nic(from).out.get();
+  if (from.group() != to.group()) {
+    hops_[num_hops_++] =
+        (to.group() == NodeGroup::kWorker || to.group() == NodeGroup::kMaster)
+            ? cluster.trunk_ingest_.get()
+            : cluster.trunk_egress_.get();
   }
-  if (from.id() == to.id()) {  // in-process handoff
-    if (arrivals != nullptr) {
-      for (size_t i = 0; i < n; ++i) arrivals[i] = sim_.now();
-    }
-    co_return;
+  hops_[num_hops_++] = cluster.nic(to).in.get();
+}
+
+bool Cluster::SendAwaiter::await_ready() {
+  if (num_hops_ > 0) return false;
+  if (arrivals_ != nullptr) {
+    for (size_t i = 0; i < n_; ++i) arrivals_[i] = cluster_.sim_.now();
   }
+  return true;
+}
+
+void Cluster::SendAwaiter::await_suspend(std::coroutine_handle<> caller) {
   static obs::Counter* net_transfers =
       obs::Registry::Default().GetCounter("cluster.net.transfers");
   static obs::Counter* net_bytes =
       obs::Registry::Default().GetCounter("cluster.net.bytes");
+  static obs::Counter* trunk_bytes =
+      obs::Registry::Default().GetCounter("cluster.net.trunk_bytes");
   int64_t total = 0;
-  for (size_t i = 0; i < n; ++i) total += bytes[i];
-  net_transfers->Add(n);
+  for (size_t i = 0; i < n_; ++i) total += payloads()[i];
+  net_transfers->Add(n_);
   net_bytes->Add(static_cast<uint64_t>(total));
-  const bool crosses_trunk = from.group() != to.group();
+  if (num_hops_ == 3) trunk_bytes->Add(static_cast<uint64_t>(total));
+  caller_ = caller;
+  NextHop();
+}
+
+void Cluster::SendAwaiter::NextHop() {
+  Link& link = *hops_[next_hop_];
   // Only the final hop's per-item completions are the arrival times.
-  co_await nic(from).out->TransferBatch(bytes, n, nullptr);
-  if (crosses_trunk) {
-    static obs::Counter* trunk_bytes =
-        obs::Registry::Default().GetCounter("cluster.net.trunk_bytes");
-    trunk_bytes->Add(static_cast<uint64_t>(total));
-    Link& trunk = (to.group() == NodeGroup::kWorker || to.group() == NodeGroup::kMaster)
-                      ? *trunk_ingest_
-                      : *trunk_egress_;
-    co_await trunk.TransferBatch(bytes, n, nullptr);
+  if (++next_hop_ == num_hops_) {
+    cluster_.sim_.ScheduleResumeAt(link.Admit(payloads(), n_, arrivals_), caller_);
+  } else {
+    cluster_.sim_.ScheduleAt(link.Admit(payloads(), n_, nullptr), [this] { NextHop(); });
   }
-  co_await nic(to).in->TransferBatch(bytes, n, arrivals);
 }
 
 int64_t Cluster::NodeNetworkBytes(const Node& node) const {

@@ -5,6 +5,7 @@
 #ifndef SDPS_CLUSTER_CLUSTER_H_
 #define SDPS_CLUSTER_CLUSTER_H_
 
+#include <coroutine>
 #include <memory>
 #include <vector>
 
@@ -45,21 +46,56 @@ class Cluster {
   const ClusterConfig& config() const { return config_; }
   des::Simulator& sim() { return sim_; }
 
+  class SendAwaiter;
+
   /// Moves `bytes` from `from` to `to`, respecting NIC and trunk capacity.
-  /// Same-node transfers complete immediately.
-  des::Task<> Send(Node& from, Node& to, int64_t bytes);
+  /// Same-node transfers complete immediately. `co_await` the result.
+  SendAwaiter Send(Node& from, Node& to, int64_t bytes);
 
   /// Moves a back-to-back run of payloads from `from` to `to` with one
   /// line admission per hop (instead of n per hop). When `arrivals` is
   /// non-null it receives each item's arrival time at `to` (the final
-  /// hop's per-item completion schedule). n == 1 is event-for-event
-  /// identical to Send(). For n > 1 the run is store-and-forwarded hop by
-  /// hop as a unit — the whole run clears the sender NIC before entering
-  /// the trunk — whereas n serial Sends would pipeline items across hops;
-  /// within each hop the per-item schedule is exact (see
-  /// Link::TransferBatch).
-  des::Task<> SendBatch(Node& from, Node& to, const int64_t* bytes, size_t n,
+  /// hop's per-item completion schedule). Send() is the n == 1 case. For
+  /// n > 1 the run is store-and-forwarded hop by hop as a unit — the whole
+  /// run clears the sender NIC before entering the trunk — whereas n
+  /// serial Sends would pipeline items across hops; within each hop the
+  /// per-item schedule is exact (see Link::Admit).
+  SendAwaiter SendBatch(Node& from, Node& to, const int64_t* bytes, size_t n,
                         SimTime* arrivals);
+
+  /// The hop chain of one Send/SendBatch: the sender's NIC out, the trunk
+  /// when the two nodes sit in different groups, the receiver's NIC in.
+  /// Each hop is one Link admission and one heap event at the run's
+  /// arrival; that event admits the next hop, and the last one resumes
+  /// the caller. The chain runs in this awaiter, which lives in the
+  /// awaiting coroutine's frame: a send allocates no coroutine frame.
+  class [[nodiscard]] SendAwaiter {
+   public:
+    SendAwaiter(Cluster& cluster, Node& from, Node& to, const int64_t* bytes,
+                size_t n, SimTime* arrivals);
+    /// Same-node handoff: ready at once, every arrival is now().
+    bool await_ready();
+    void await_suspend(std::coroutine_handle<> caller);
+    void await_resume() const noexcept {}
+
+   private:
+    friend class Cluster;  // Send() stores its payload in one_
+
+    void NextHop();
+    // Send()'s single payload lives in the awaiter: bytes_ stays null so
+    // a copied awaiter never points into the one it was copied from.
+    const int64_t* payloads() const { return bytes_ != nullptr ? bytes_ : &one_; }
+
+    Cluster& cluster_;
+    const int64_t* bytes_;
+    int64_t one_ = 0;
+    size_t n_;
+    SimTime* arrivals_;
+    Link* hops_[3] = {};
+    int num_hops_ = 0;
+    int next_hop_ = 0;
+    std::coroutine_handle<> caller_;
+  };
 
   /// Total bytes that crossed each node's NIC (in + out), for Fig. 10.
   int64_t NodeNetworkBytes(const Node& node) const;

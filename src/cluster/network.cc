@@ -13,7 +13,7 @@ SimTime Link::TxTime(int64_t bytes) const {
       std::llround(static_cast<double>(bytes) / (bytes_per_sec_ * rate_scale_) * 1e6));
 }
 
-SimTime Link::Admit(SimTime tx, int64_t bytes) {
+SimTime Link::Occupy(SimTime tx, int64_t bytes) {
   const SimTime now = sim_.now();
   // Count what has left the line, then drop it from the list (all of it
   // when the line has drained; the counted prefix once it is half the list).
@@ -33,15 +33,16 @@ SimTime Link::Admit(SimTime tx, int64_t bytes) {
 }
 
 des::Delay Link::Transfer(int64_t bytes) {
-  const SimTime done = Admit(TxTime(bytes), bytes);
-  return des::Delay(sim_, done + latency_ - sim_.now());
+  return des::Delay(sim_, Admit(&bytes, 1, nullptr) - sim_.now());
 }
 
 des::Delay Link::TransferBatch(const int64_t* bytes, size_t n, SimTime* completions) {
+  return des::Delay(sim_, Admit(bytes, n, completions) - sim_.now());
+}
+
+SimTime Link::Admit(const int64_t* bytes, size_t n, SimTime* completions) {
   SDPS_CHECK_GT(n, 0u);
-  // Per-item transmission times computed with the exact Transfer()
-  // expression, so the per-item schedule is bit-identical to n serial
-  // transfers; the line is held once for the integer sum.
+  // The line is held once for the integer sum of the per-item times.
   SimTime total_tx = 0;
   int64_t total_bytes = 0;
   for (size_t i = 0; i < n; ++i) {
@@ -49,12 +50,12 @@ des::Delay Link::TransferBatch(const int64_t* bytes, size_t n, SimTime* completi
     total_bytes += bytes[i];
     if (completions != nullptr) completions[i] = total_tx;  // prefix sum for now
   }
-  const SimTime done = Admit(total_tx, total_bytes);
+  const SimTime done = Occupy(total_tx, total_bytes);
   if (completions != nullptr) {
     const SimTime offset = done - total_tx + latency_;  // service start + latency
     for (size_t i = 0; i < n; ++i) completions[i] += offset;
   }
-  return des::Delay(sim_, done + latency_ - sim_.now());
+  return done + latency_;
 }
 
 int64_t Link::bytes_transferred() const {

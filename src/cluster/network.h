@@ -46,15 +46,20 @@ class Link {
   [[nodiscard]] des::Delay Transfer(int64_t bytes);
 
   /// Transfers a back-to-back run of payloads as ONE admission and one
-  /// event. Per-item transmission times use the identical FP expression as
-  /// Transfer(); item i finishes the line at service_start + tx[0] + ... +
-  /// tx[i] and arrives latency() later — exactly the schedule `n` serial
-  /// Transfer() calls produce on this store-and-forward FIFO line (each
-  /// would queue behind the previous). When `completions` is non-null it
-  /// receives the n absolute arrival times. The caller resumes at the LAST
-  /// item's arrival.
+  /// event (see Admit). The caller resumes at the LAST item's arrival.
   [[nodiscard]] des::Delay TransferBatch(const int64_t* bytes, size_t n,
                                          SimTime* completions);
+
+  /// Queues a back-to-back run of payloads on the line now and returns the
+  /// LAST item's arrival time; schedules nothing. Per-item transmission
+  /// times use one FP expression whatever n is; item i finishes the line
+  /// at service_start + tx[0] + ... + tx[i] and arrives latency() later —
+  /// exactly the schedule `n` serial Transfer() calls produce on this
+  /// store-and-forward FIFO line (each would queue behind the previous).
+  /// When `completions` is non-null it receives the n absolute arrival
+  /// times. Transfer and TransferBatch are this plus one resumption;
+  /// Cluster's hop chain (cluster.h) schedules its own.
+  SimTime Admit(const int64_t* bytes, size_t n, SimTime* completions);
 
   /// Cumulative payload bytes whose transmission has completed by now().
   int64_t bytes_transferred() const;
@@ -82,7 +87,7 @@ class Link {
   SimTime TxTime(int64_t bytes) const;
   /// Queues a transmission of `tx` us carrying `bytes` behind the line's
   /// current work and returns the time it leaves the line.
-  SimTime Admit(SimTime tx, int64_t bytes);
+  SimTime Occupy(SimTime tx, int64_t bytes);
 
   des::Simulator& sim_;
   double bytes_per_sec_;

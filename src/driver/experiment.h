@@ -63,7 +63,8 @@ struct ExperimentConfig {
   /// Data-plane batch size: records per generator wakeup, queue pop,
   /// network admission, and CPU admission. 0 (default) resolves to the
   /// process-wide engine::DefaultDataPlaneBatch() (the --batch flag,
-  /// itself defaulting to 1 = per-record scheduling).
+  /// itself defaulting to 1 = one record per admission; every size runs
+  /// the same engine code).
   int batch = 0;
   /// Queue/resource sampling period.
   SimTime probe_interval = Millis(250);

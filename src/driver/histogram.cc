@@ -55,6 +55,29 @@ SimTime Histogram::Quantile(double q) const {
   return samples_[std::min(idx, samples_.size() - 1)];
 }
 
+void Histogram::Quantiles(const double* qs, size_t n, SimTime* out) const {
+  size_t lo = 0;  // samples_[0..lo) hold values <= the last one selected
+  for (size_t i = 0; i < n; ++i) {
+    SDPS_CHECK_GE(qs[i], i == 0 ? 0.0 : qs[i - 1]);
+    SDPS_CHECK_LE(qs[i], 1.0);
+    if (samples_.empty()) {
+      out[i] = 0;
+      continue;
+    }
+    // The same nearest rank as Quantile().
+    const size_t idx =
+        std::min(static_cast<size_t>(std::llround(
+                     qs[i] * static_cast<double>(samples_.size() - 1))),
+                 samples_.size() - 1);
+    if (!sorted_ && idx >= lo) {
+      std::nth_element(samples_.begin() + static_cast<ptrdiff_t>(lo),
+                       samples_.begin() + static_cast<ptrdiff_t>(idx), samples_.end());
+      lo = idx + 1;
+    }
+    out[i] = samples_[idx];
+  }
+}
+
 Histogram::Summary Histogram::Summarize() const {
   Summary s;
   if (samples_.empty()) return s;

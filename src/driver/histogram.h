@@ -5,6 +5,7 @@
 #define SDPS_DRIVER_HISTOGRAM_H_
 
 #include <cstdint>
+#include <cstddef>
 #include <vector>
 
 #include "common/time_util.h"
@@ -31,6 +32,11 @@ class Histogram {
   /// an empty histogram and the sole sample (for any q) on a single-sample
   /// histogram.
   SimTime Quantile(double q) const;
+
+  /// Quantile() at each of qs[0..n) (ascending), by partial selection
+  /// instead of a full sort: O(samples) for a few quantiles. Reorders the
+  /// samples in place like the sort does (Mean() sums in sample order).
+  void Quantiles(const double* qs, size_t n, SimTime* out) const;
 
   /// Convenience for the paper's table row: avg, min, max, p90, p95, p99.
   struct Summary {

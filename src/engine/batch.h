@@ -8,13 +8,14 @@
 // (des::Resource::UseBatch) schedules one completion, a cluster::Link hop
 // one resumption at the run's arrival. Per-record event-times, lineage
 // stamps, metering, and window mutations are all preserved — batching
-// coalesces *scheduling*, not semantics. `--batch=1` reproduces the
-// per-record code paths structurally (every batched call site delegates to
-// the serial primitive at k == 1).
+// coalesces *scheduling*, not semantics. Every batch size runs the same
+// engine code; `--batch=1` is the record-at-a-time pull of the paper's
+// measurements, where each batch holds one record.
 #ifndef SDPS_ENGINE_BATCH_H_
 #define SDPS_ENGINE_BATCH_H_
 
 #include <cstddef>
+#include <cstdint>
 #include <vector>
 
 #include "common/check.h"
@@ -31,6 +32,9 @@ namespace sdps::engine {
 class RecordBatch {
  public:
   RecordBatch() { records_.reserve(kInlineCapacity); }
+  /// Reserves `capacity` records instead (0: allocate on first push) —
+  /// for long-lived scratch batches whose size bound is known.
+  explicit RecordBatch(size_t capacity) { records_.reserve(capacity); }
 
   void Reserve(size_t n) { records_.reserve(n); }
   void Clear() {
@@ -105,10 +109,37 @@ class RecordBatch {
   mutable bool sums_valid_ = false;
 };
 
+/// Wire sizes of a batch's remote records grouped per target worker index,
+/// in the order the workers first appear. The per-worker lists keep their
+/// capacity across batches, so regrouping allocates nothing once warm.
+class RemoteGroups {
+ public:
+  void Clear() {
+    for (const int w : order_) bytes_[static_cast<size_t>(w)].clear();
+    order_.clear();
+  }
+  void Add(int worker, int64_t wire_bytes) {
+    const size_t w = static_cast<size_t>(worker);
+    if (w >= bytes_.size()) bytes_.resize(w + 1);
+    if (bytes_[w].empty()) order_.push_back(worker);
+    bytes_[w].push_back(wire_bytes);
+  }
+
+  /// Workers with at least one record, first-appearance order.
+  const std::vector<int>& workers() const { return order_; }
+  const std::vector<int64_t>& bytes(int worker) const {
+    return bytes_[static_cast<size_t>(worker)];
+  }
+
+ private:
+  std::vector<std::vector<int64_t>> bytes_;  // per worker index
+  std::vector<int> order_;
+};
+
 /// Process-wide data-plane batch size, set from `--batch=N` before any
 /// trial runs (bench::TelemetryScope consumes the flag) and read by
 /// driver::RunExperiment when ExperimentConfig::batch is 0. The default
-/// is 1: per-record scheduling, bit-identical to the pre-batching tree.
+/// is 1: one record per pop, link and CPU admission (the paper's setup).
 int DefaultDataPlaneBatch();
 void SetDefaultDataPlaneBatch(int batch);
 

@@ -1,5 +1,7 @@
 #include "engine/columnar.h"
 
+#include <algorithm>
+
 namespace sdps::engine {
 
 void RadixPartition(const uint64_t* keys, size_t n,
@@ -7,6 +9,16 @@ void RadixPartition(const uint64_t* keys, size_t n,
   const int parts = partitioner.parts();
   plan->parts = parts;
   plan->dests.resize(n);
+  if (n == 1) {
+    // A one-record run (--batch=1): no histogram, prefix sum or scatter.
+    const int d = partitioner.ApplyMixed(MixKey(keys[0]));
+    plan->dests[0] = static_cast<uint32_t>(d);
+    plan->index.assign(1, 0);
+    plan->offsets.resize(static_cast<size_t>(parts) + 1);
+    std::fill(plan->offsets.begin(), plan->offsets.begin() + d + 1, 0u);
+    std::fill(plan->offsets.begin() + d + 1, plan->offsets.end(), 1u);
+    return;
+  }
   plan->offsets.assign(static_cast<size_t>(parts) + 1, 0);
 
   // Pass 1: mix + assign + histogram. The mixed hash feeds the

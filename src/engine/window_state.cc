@@ -89,6 +89,13 @@ AddResult AggWindowState::Add(const Record& rec) {
 AddResult AggWindowState::AddBatch(const Record* recs, size_t n,
                                    AddResult* per_record,
                                    int64_t* state_bytes_after) {
+  if (n == 1) {
+    // A one-record run (--batch=1) gains nothing from the probe pipeline.
+    const AddResult result = Add(recs[0]);
+    if (per_record != nullptr) per_record[0] = result;
+    if (state_bytes_after != nullptr) state_bytes_after[0] = state_bytes();
+    return result;
+  }
   AddResult total;
   scratch_keys_.resize(n);
   for (size_t i = 0; i < n; ++i) scratch_keys_[i] = recs[i].key;

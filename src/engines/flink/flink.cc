@@ -126,8 +126,6 @@ class FlinkSut : public driver::Sut {
       }
     }
 
-    // Data-plane batch size: 1 spawns the per-record processes (the exact
-    // historical code paths); >1 spawns the coalescing variants.
     batch_ = static_cast<size_t>(std::max(1, ctx.batch));
     // Shuffle-side combining applies to batched aggregation shuffles only
     // (a batch of one has nothing to combine); recovery's per-raw-record
@@ -139,7 +137,7 @@ class FlinkSut : public driver::Sut {
           "flink: shuffle_combine is incompatible with recovery_enabled");
     }
     for (int s = 0; s < num_sources_; ++s) {
-      ctx.sim->Spawn(batch_ > 1 ? SourceProcessBatched(s) : SourceProcess(s));
+      ctx.sim->Spawn(SourceProcess(s));
     }
     for (int q = 0; q < num_queues_; ++q) {
       ctx.sim->Spawn(WatermarkProcess(q));
@@ -187,73 +185,33 @@ class FlinkSut : public driver::Sut {
     return (s / sources_per_worker_) % num_queues_;
   }
 
-  Task<> SourceProcess(int s) {
-    cluster::Node& my_worker = WorkerOfSource(s);
-    const int queue_idx = QueueOfSource(s);
-    cluster::Node& queue_node = ctx_.cluster->driver(queue_idx);
-    driver::DriverQueue& queue = *ctx_.queues[static_cast<size_t>(queue_idx)];
-    SimTime& queue_max_event = queue_max_event_[static_cast<size_t>(queue_idx)];
-
-    for (;;) {
-      auto rec = co_await queue.Pop();
-      if (!rec.has_value()) break;
-      // Pop-time restore epoch: if a crash hits while this record is in
-      // flight, the receiving task drops the (now stale) message and the
-      // queue replays the record instead.
-      const int64_t rec_epoch = epoch_;
-      if (recovery_) ++in_flight_;
-      // Ingest transfer: driver node -> this worker (crosses the trunk).
-      co_await ctx_.cluster->Send(queue_node, my_worker, engine::WireBytes(*rec));
-      rec->ingest_time = ctx_.sim->now();
-      obs::LineageTracker::Default().StampIngested(rec->lineage, rec->ingest_time);
-      co_await my_worker.cpu().Use(CostUs(config_.source_cost_us * rec->weight));
-      my_worker.RecordAllocation(config_.alloc_bytes_per_tuple * rec->weight);
-
-      const int t = (*partitioner_)(rec->key);  // == PartitionForKey
-      cluster::Node& target = WorkerOfTask(t);
-      if (target.id() != my_worker.id()) {
-        co_await my_worker.cpu().Use(CostUs(config_.remote_serde_cost_us * rec->weight));
-        co_await ctx_.cluster->Send(my_worker, target, engine::WireBytes(*rec));
-      }
-      // A stale record must not advance the (restored) event-time clock:
-      // its replayed copy re-advances it on the re-pop.
-      if ((!recovery_ || rec_epoch == epoch_) && rec->event_time > queue_max_event) {
-        queue_max_event = rec->event_time;
-      }
-      Message msg = Message::MakeRecord(*rec);
-      msg.epoch = rec_epoch;
-      const bool sent = co_await channels_[static_cast<size_t>(t)]->Send(msg);
-      if (recovery_) --in_flight_;
-      if (!sent) co_return;  // topology shut down
-    }
-    --queue_active_sources_[static_cast<size_t>(queue_idx)];
-  }
-
-  /// Batched source: one PopBatch / ingest SendBatch / cpu UseBatch per up
-  /// to `batch_` records. Per-record side effects (ingest stamps at the
+  /// Source instance: one PopBatch / ingest SendBatch / cpu UseBatch per
+  /// up to `batch_` records (one record at --batch=1, the paper's
+  /// record-at-a-time pull). Per-record side effects (ingest stamps at the
   /// per-record link completion times, epoch bookkeeping, partitioned
-  /// channel sends) are preserved; only the event-scheduling is coalesced.
-  Task<> SourceProcessBatched(int s) {
+  /// channel sends) are those of a record-at-a-time source; only the event
+  /// scheduling is coalesced.
+  Task<> SourceProcess(int s) {
+    const int my_w = s / sources_per_worker_;
     cluster::Node& my_worker = WorkerOfSource(s);
     const int queue_idx = QueueOfSource(s);
     cluster::Node& queue_node = ctx_.cluster->driver(queue_idx);
     driver::DriverQueue& queue = *ctx_.queues[static_cast<size_t>(queue_idx)];
     SimTime& queue_max_event = queue_max_event_[static_cast<size_t>(queue_idx)];
     SimTime& unsent_floor = source_unsent_floor_[static_cast<size_t>(s)];
+    const int workers = ctx_.cluster->num_workers();
 
-    engine::RecordBatch recs;
+    engine::RecordBatch recs(0);  // grows on the first pop, after set-up
     std::vector<int64_t> bytes;
     std::vector<SimTime> arrivals;
-    std::vector<SimTime> costs;
-    // Remote records grouped per target worker, first-appearance order.
-    std::vector<std::pair<cluster::Node*, std::vector<int64_t>>> remote;
+    engine::RemoteGroups remote;
     // Columnar shuffle state (see engine/columnar.h): the key lane feeds
     // one radix pass per batch instead of a per-record divide, and the
     // optional combiner folds the run into per-(key, slide-bucket)
     // partials before anything crosses a link.
     engine::ColumnarBatch cols;
     engine::PartitionPlan plan;
-    engine::RecordBatch combined;
+    engine::RecordBatch combined(combine_ ? batch_ : 0);
     std::optional<engine::ShuffleCombiner> combiner;
     if (combine_) combiner.emplace(config_.query.window.slide);
 
@@ -265,28 +223,32 @@ class FlinkSut : public driver::Sut {
       // destination-major (not event-time) order, so only the whole-batch
       // floor is a safe watermark bound.
       unsent_floor = recs[0].event_time;
+      // Pop-time restore epoch: if a crash hits while a record is in
+      // flight, the receiving task drops the (now stale) message and the
+      // queue replays the record instead.
       const int64_t rec_epoch = epoch_;
       if (recovery_) in_flight_ += static_cast<int>(k);
       // Ingest transfer: driver node -> this worker, one coalesced batch;
       // arrivals[i] is the exact per-record link completion time.
-      bytes.clear();
-      arrivals.assign(k, 0);
-      for (const Record& rec : recs) bytes.push_back(engine::WireBytes(rec));
+      bytes.resize(k);
+      arrivals.resize(k);
+      for (size_t i = 0; i < k; ++i) bytes[i] = engine::WireBytes(recs[i]);
       co_await ctx_.cluster->SendBatch(queue_node, my_worker, bytes.data(), k,
                                        arrivals.data());
-      costs.clear();
+      // One CPU admission for the run: Use(sum) is UseBatch of the costs.
+      SimTime cost = 0;
       int64_t alloc = 0;
       for (size_t i = 0; i < k; ++i) {
         recs[i].ingest_time = arrivals[i];
         obs::LineageTracker::Default().StampIngested(recs[i].lineage, arrivals[i]);
-        costs.push_back(CostUs(config_.source_cost_us * recs[i].weight));
+        cost += CostUs(config_.source_cost_us * recs[i].weight);
         alloc += config_.alloc_bytes_per_tuple * recs[i].weight;
       }
-      co_await my_worker.cpu().UseBatch(costs);
+      co_await my_worker.cpu().Use(cost);
       my_worker.RecordAllocation(alloc);
 
       // Combine (aggregation only), then radix-partition the run into
-      // destination-major order in one pass.
+      // destination-major order in one pass; plan.index walks it in O(n).
       const engine::RecordBatch* shuffle = &recs;
       if (combine_) {
         combined.Clear();
@@ -300,53 +262,43 @@ class FlinkSut : public driver::Sut {
       engine::RadixPartition(cols.keys.data(), n, *partitioner_, &plan);
 
       // Coalesce serde + transfer of the remote records, per destination.
-      costs.clear();
-      remote.clear();
-      for (int t = 0; t < num_tasks_; ++t) {
-        cluster::Node& target = WorkerOfTask(t);
-        if (target.id() == my_worker.id()) continue;
-        for (const uint32_t* it = plan.Begin(t); it != plan.End(t); ++it) {
-          const Record& rec = run[*it];
-          costs.push_back(
-              CostUs(config_.remote_serde_cost_us * engine::PhysicalTuples(rec)));
-          auto g = std::find_if(remote.begin(), remote.end(),
-                                [&target](const auto& e) { return e.first == &target; });
-          if (g == remote.end()) {
-            remote.emplace_back(&target, std::vector<int64_t>{});
-            g = remote.end() - 1;
-          }
-          g->second.push_back(engine::WireBytes(rec));
-        }
+      cost = 0;
+      remote.Clear();
+      for (size_t j = 0; j < n; ++j) {
+        const uint32_t i = plan.index[j];
+        const int w = static_cast<int>(plan.dests[i]) % workers;  // WorkerOfTask
+        if (w == my_w) continue;
+        cost += CostUs(config_.remote_serde_cost_us * engine::PhysicalTuples(run[i]));
+        remote.Add(w, engine::WireBytes(run[i]));
       }
-      if (!costs.empty()) {
-        co_await my_worker.cpu().UseBatch(costs);
-        for (const auto& [node, group] : remote) {
-          co_await ctx_.cluster->SendBatch(my_worker, *node, group.data(),
-                                           group.size(), nullptr);
+      if (!remote.workers().empty()) {
+        co_await my_worker.cpu().Use(cost);
+        for (const int w : remote.workers()) {
+          const std::vector<int64_t>& group = remote.bytes(w);
+          co_await ctx_.cluster->SendBatch(my_worker, ctx_.cluster->worker(w),
+                                           group.data(), group.size(), nullptr);
         }
       }
       // Destination-major channel sends. in_flight_ counts raw records,
       // and combining is disallowed under recovery, so n == k whenever
       // recovery_ is set.
-      size_t sends_left = n;
-      for (int t = 0; t < num_tasks_; ++t) {
-        for (const uint32_t* it = plan.Begin(t); it != plan.End(t); ++it) {
-          const Record& rec = run[*it];
-          if ((!recovery_ || rec_epoch == epoch_) &&
-              rec.event_time > queue_max_event) {
-            queue_max_event = rec.event_time;
-          }
-          Message msg = Message::MakeRecord(rec);
-          msg.epoch = rec_epoch;
-          const bool sent = co_await channels_[static_cast<size_t>(t)]->Send(msg);
-          --sends_left;
-          if (recovery_) --in_flight_;
-          if (!sent) {
-            // Topology shut down mid-batch: release the never-sent remainder.
-            unsent_floor = kNoUnsentFloor;
-            if (recovery_) in_flight_ -= static_cast<int>(sends_left);
-            co_return;
-          }
+      for (size_t j = 0; j < n; ++j) {
+        const uint32_t i = plan.index[j];
+        const Record& rec = run[i];
+        // A stale record must not advance the (restored) event-time clock:
+        // its replayed copy re-advances it on the re-pop.
+        if ((!recovery_ || rec_epoch == epoch_) && rec.event_time > queue_max_event) {
+          queue_max_event = rec.event_time;
+        }
+        Message msg = Message::MakeRecord(rec);
+        msg.epoch = rec_epoch;
+        const bool sent = co_await channels_[plan.dests[i]]->Send(msg);
+        if (recovery_) --in_flight_;
+        if (!sent) {
+          // Topology shut down mid-batch: release the never-sent remainder.
+          unsent_floor = kNoUnsentFloor;
+          if (recovery_) in_flight_ -= static_cast<int>(n - j - 1);
+          co_return;
         }
       }
       unsent_floor = kNoUnsentFloor;
@@ -371,9 +323,9 @@ class FlinkSut : public driver::Sut {
       }
       SimTime wm = queue_max_event_[static_cast<size_t>(q)];
       if (wm == engine::kNoWatermark) continue;
-      // Batched data plane: a source may hold popped-but-undelivered
-      // records below the shared clock (other sources advanced it while
-      // this one was blocked on a full channel). Per-queue event times are
+      // A source may hold popped-but-undelivered records below the shared
+      // clock (other sources advanced it while this one was blocked on a
+      // full channel). Per-queue event times are
       // monotone, so capping the broadcast below the oldest such record
       // keeps every watermark behind all records it could retire.
       for (int s = 0; s < num_sources_; ++s) {
@@ -448,18 +400,19 @@ class FlinkSut : public driver::Sut {
 
   Task<> WindowTaskProcess(int t) {
     if (config_.query.kind == engine::QueryKind::kAggregation) {
-      if (batch_ > 1) {
-        co_await AggTaskBatched(t);
-      } else {
-        co_await AggTask(t);
-      }
-    } else if (batch_ > 1) {
-      co_await JoinTaskBatched(t);
+      co_await AggTask(t);
     } else {
       co_await JoinTask(t);
     }
   }
 
+  /// Window task (aggregation): receives up to `batch_` queued messages
+  /// per resume and coalesces each consecutive run of valid records into
+  /// one state.AddBatch pass + one cpu UseBatch whose per-record
+  /// completion times (service start + cost prefix sums) equal a
+  /// record-at-a-time task's — operator stamps land at those exact times.
+  /// Barriers and watermarks are handled singly, so fire/snapshot ordering
+  /// relative to records does not depend on the batch size.
   Task<> AggTask(int t) {
     cluster::Node& my_worker = WorkerOfTask(t);
     engine::WindowAssigner assigner(config_.query.window);
@@ -476,132 +429,8 @@ class FlinkSut : public driver::Sut {
     const obs::TrackId track =
         engine::OperatorTrack(my_worker.name(), name(), "task", t);
 
-    for (;;) {
-      auto msg = co_await in.Recv();
-      if (!msg.has_value()) break;
-      // Recovery: connections are re-established on restart, so anything
-      // produced before the restore is dropped here (the queue replays the
-      // records under the new epoch).
-      if (recovery_ && msg->epoch < epoch_) continue;
-      const int64_t msg_epoch = msg->epoch;
-      if (msg->kind == Message::Kind::kRecord) {
-        const Record& rec = msg->record;
-        const engine::AddResult added = state.Add(rec);
-        late_dropped_tuples_ += added.late_tuples;
-        metrics_.records->Add(rec.weight);
-        metrics_.late_dropped->Add(added.late_tuples);
-        const double slow = state.state_bytes() > spill_threshold_bytes_
-                                ? config_.spill_slowdown
-                                : 1.0;
-        // Per-tuple charges are physical: a combiner partial is one
-        // incremental update / one allocated object however many logical
-        // tuples it pre-aggregates (identical when no combining ran).
-        co_await my_worker.cpu().Use(
-            CostUs(config_.agg_update_cost_us * engine::PhysicalTuples(rec) *
-                   added.window_updates * slow));
-        obs::LineageTracker::Default().StampOperator(rec.lineage, ctx_.sim->now());
-        my_worker.RecordAllocation(config_.alloc_bytes_per_tuple *
-                                   engine::PhysicalTuples(rec));
-      } else if (msg->origin == kBarrierOrigin) {
-        co_await TakeSnapshot(my_worker, track, state.state_bytes());
-        if (recovery_) {
-          OnTaskSnapshot(t, static_cast<uint64_t>(msg->watermark), msg_epoch);
-        }
-      } else if (tracker.Update(msg->origin, msg->watermark)) {
-        auto outs = state.FireUpTo(tracker.current());
-        if (!outs.empty()) {
-          metrics_.windows_fired->Add(1);
-          obs::ScopedSpan span(tracer, track, "window.fire");
-          span.Arg("outputs", static_cast<double>(outs.size()));
-          span.Arg("watermark_ms", ToMillis(tracker.current()));
-          co_await EmitOutputs(my_worker, outs, t, msg_epoch);
-        }
-        if (recovery_) OnTaskWatermark(t, tracker.current());
-      }
-    }
-  }
-
-  Task<> JoinTask(int t) {
-    cluster::Node& my_worker = WorkerOfTask(t);
-    engine::WindowAssigner assigner(config_.query.window);
-    engine::JoinWindowState local_state(assigner);
-    engine::WatermarkTracker local_tracker(num_queues_);
-    engine::JoinWindowState& state =
-        recovery_ ? task_join_[static_cast<size_t>(t)] : local_state;
-    engine::WatermarkTracker& tracker =
-        recovery_ ? task_trackers_[static_cast<size_t>(t)] : local_tracker;
-    Channel<Message>& in = *channels_[static_cast<size_t>(t)];
-    obs::Tracer& tracer = obs::Tracer::Default();
-    const obs::TrackId track =
-        engine::OperatorTrack(my_worker.name(), name(), "task", t);
-
-    for (;;) {
-      auto msg = co_await in.Recv();
-      if (!msg.has_value()) break;
-      if (recovery_ && msg->epoch < epoch_) continue;
-      const int64_t msg_epoch = msg->epoch;
-      if (msg->kind == Message::Kind::kRecord) {
-        const Record& rec = msg->record;
-        const double slow = state.state_bytes() > spill_threshold_bytes_
-                                ? config_.spill_slowdown
-                                : 1.0;
-        const engine::AddResult added = state.Add(rec);
-        late_dropped_tuples_ += added.late_tuples;
-        metrics_.records->Add(rec.weight);
-        metrics_.late_dropped->Add(added.late_tuples);
-        co_await my_worker.cpu().Use(CostUs(config_.join_buffer_cost_us * rec.weight *
-                                            added.window_updates * slow));
-        obs::LineageTracker::Default().StampOperator(rec.lineage, ctx_.sim->now());
-        my_worker.RecordAllocation(config_.alloc_bytes_per_tuple * rec.weight);
-      } else if (msg->origin == kBarrierOrigin) {
-        co_await TakeSnapshot(my_worker, track, state.state_bytes());
-        if (recovery_) {
-          OnTaskSnapshot(t, static_cast<uint64_t>(msg->watermark), msg_epoch);
-        }
-      } else if (tracker.Update(msg->origin, msg->watermark)) {
-        auto fired = state.FireUpTo(tracker.current());
-        if (fired.join_work > 0 || !fired.outputs.empty()) {
-          metrics_.windows_fired->Add(1);
-          obs::ScopedSpan span(tracer, track, "window.fire");
-          span.Arg("outputs", static_cast<double>(fired.outputs.size()));
-          span.Arg("join_work", static_cast<double>(fired.join_work));
-          if (fired.join_work > 0) {
-            co_await my_worker.cpu().Use(CostUs(config_.join_probe_cost_us *
-                                                static_cast<double>(fired.join_work)));
-          }
-          if (!fired.outputs.empty()) {
-            co_await EmitOutputs(my_worker, fired.outputs, t, msg_epoch);
-          }
-        }
-        if (recovery_) OnTaskWatermark(t, tracker.current());
-      }
-    }
-  }
-
-  /// Batched window task (aggregation): receives up to `batch_` queued
-  /// messages per resume and coalesces each consecutive run of valid
-  /// records into one state.AddBatch-style pass + one cpu UseBatch whose
-  /// per-record completion times (service start + cost prefix sums) equal
-  /// the serial task's — operator stamps land at those exact times.
-  /// Barriers and watermarks are handled singly, exactly as the serial
-  /// task, so fire/snapshot ordering relative to records is unchanged.
-  Task<> AggTaskBatched(int t) {
-    cluster::Node& my_worker = WorkerOfTask(t);
-    engine::WindowAssigner assigner(config_.query.window);
-    engine::AggWindowState local_state(assigner);
-    engine::WatermarkTracker local_tracker(num_queues_);
-    engine::AggWindowState& state =
-        recovery_ ? task_agg_[static_cast<size_t>(t)] : local_state;
-    engine::WatermarkTracker& tracker =
-        recovery_ ? task_trackers_[static_cast<size_t>(t)] : local_tracker;
-    Channel<Message>& in = *channels_[static_cast<size_t>(t)];
-    obs::Tracer& tracer = obs::Tracer::Default();
-    const obs::TrackId track =
-        engine::OperatorTrack(my_worker.name(), name(), "task", t);
-
     std::vector<Message> msgs;
     std::vector<SimTime> costs;
-    std::vector<int64_t> lineages;
     std::vector<Record> run;
     std::vector<engine::AddResult> added_run;
     std::vector<int64_t> bytes_after;
@@ -609,6 +438,9 @@ class FlinkSut : public driver::Sut {
       if (!co_await in.RecvMany(&msgs, batch_)) break;
       size_t i = 0;
       while (i < msgs.size()) {
+        // Recovery: connections are re-established on restart, so anything
+        // produced before the restore is dropped here (the queue replays
+        // the records under the new epoch).
         if (recovery_ && msgs[i].epoch < epoch_) {
           ++i;
           continue;
@@ -618,24 +450,31 @@ class FlinkSut : public driver::Sut {
           // AddBatch (batched key probes). No co_await separates the
           // folds, but they depend only on record event times and fired
           // watermarks (which only move between runs), so the results
-          // match the serial interleaving. Per-record spill costs read
-          // the state size measured after each record's own fold —
-          // exactly what the serial Add-then-measure loop charged.
-          costs.clear();
-          lineages.clear();
-          run.clear();
-          int64_t alloc = 0;
+          // match a record-at-a-time interleaving. Per-record spill costs
+          // read the state size measured after each record's own fold.
+          // Per-tuple charges are physical: a combiner partial is one
+          // incremental update / one allocated object however many
+          // logical tuples it pre-aggregates.
+          const size_t first = i;
           while (i < msgs.size() && msgs[i].kind == Message::Kind::kRecord &&
                  !(recovery_ && msgs[i].epoch < epoch_)) {
-            run.push_back(msgs[i].record);
             ++i;
           }
-          added_run.resize(run.size());
-          bytes_after.resize(run.size());
-          state.AddBatch(run.data(), run.size(), added_run.data(),
-                         bytes_after.data());
-          for (size_t m = 0; m < run.size(); ++m) {
-            const Record& rec = run[m];
+          const size_t n = i - first;
+          // AddBatch reads a contiguous run; a one-record run is one already.
+          const Record* recs = &msgs[first].record;
+          if (n > 1) {
+            run.clear();
+            for (size_t m = first; m < i; ++m) run.push_back(msgs[m].record);
+            recs = run.data();
+          }
+          costs.clear();
+          int64_t alloc = 0;
+          added_run.resize(n);
+          bytes_after.resize(n);
+          state.AddBatch(recs, n, added_run.data(), bytes_after.data());
+          for (size_t m = 0; m < n; ++m) {
+            const Record& rec = recs[m];
             const engine::AddResult& added = added_run[m];
             late_dropped_tuples_ += added.late_tuples;
             metrics_.records->Add(rec.weight);
@@ -646,13 +485,13 @@ class FlinkSut : public driver::Sut {
             costs.push_back(CostUs(config_.agg_update_cost_us *
                                    engine::PhysicalTuples(rec) *
                                    added.window_updates * slow));
-            lineages.push_back(rec.lineage);
             alloc += config_.alloc_bytes_per_tuple * engine::PhysicalTuples(rec);
           }
           SimTime done = co_await my_worker.cpu().UseBatch(costs);
-          for (size_t m = 0; m < costs.size(); ++m) {
+          for (size_t m = 0; m < n; ++m) {
             done += costs[m];
-            obs::LineageTracker::Default().StampOperator(lineages[m], done);
+            obs::LineageTracker::Default().StampOperator(msgs[first + m].record.lineage,
+                                                         done);
           }
           my_worker.RecordAllocation(alloc);
           continue;
@@ -679,10 +518,10 @@ class FlinkSut : public driver::Sut {
     }
   }
 
-  /// Batched window task (join). Mirrors AggTaskBatched with the join
-  /// task's cost model: the spill check precedes Add, buffering is charged
-  /// per record, probes/emits happen at the (singly handled) watermark.
-  Task<> JoinTaskBatched(int t) {
+  /// Window task (join). Mirrors AggTask with the join task's cost model:
+  /// the spill check precedes Add, buffering is charged per record,
+  /// probes/emits happen at the (singly handled) watermark.
+  Task<> JoinTask(int t) {
     cluster::Node& my_worker = WorkerOfTask(t);
     engine::WindowAssigner assigner(config_.query.window);
     engine::JoinWindowState local_state(assigner);
@@ -864,21 +703,23 @@ class FlinkSut : public driver::Sut {
   int num_sources_ = 0;
   int num_queues_ = 0;
   int sources_per_worker_ = 1;
-  size_t batch_ = 1;  // data-plane batch size (1 = per-record paths)
-  bool combine_ = false;  // shuffle-side pre-aggregation (batched agg only)
+  // Data-plane batch size: records per PopBatch / RecvMany (every size
+  // runs the same code; 1 is the paper's record-at-a-time pull).
+  size_t batch_ = 1;
+  bool combine_ = false;  // shuffle-side pre-aggregation (agg, batch_ > 1)
   // Divide-free partition mapper, identical to PartitionForKey modulo.
   std::optional<engine::Partitioner> partitioner_;
   int64_t spill_threshold_bytes_ = 0;
   std::vector<std::unique_ptr<Channel<Message>>> channels_;
   std::vector<SimTime> queue_max_event_;
-  /// Batched data plane only: event time of the oldest record each source
-  /// has popped but not yet delivered into a task channel (kNoUnsentFloor
-  /// when it holds none). A batched source holds up to `batch_` records
-  /// between pop and delivery, so the shared queue clock can run far ahead
-  /// of undelivered records while other sources race through the backlog;
+  /// Event time of the oldest record each source has popped but not yet
+  /// delivered into a task channel (kNoUnsentFloor when it holds none). A
+  /// source holds up to `batch_` records between pop and delivery (one at
+  /// --batch=1, across its ingest transfer, CPU charge and a possibly full
+  /// channel), so the shared queue clock can run ahead of undelivered
+  /// records while other sources race through the backlog;
   /// WatermarkProcess caps the broadcast below this floor so a watermark
-  /// can never overtake a popped record into its channel. The per-record
-  /// path keeps the historical behavior (floors stay clear).
+  /// can never overtake a popped record into its channel.
   static constexpr SimTime kNoUnsentFloor = std::numeric_limits<SimTime>::max();
   std::vector<SimTime> source_unsent_floor_;
   std::vector<int> queue_active_sources_;

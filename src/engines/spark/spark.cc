@@ -215,14 +215,10 @@ class SparkSut : public driver::Sut {
       fetch_bufs_.push_back(std::make_unique<des::Channel<Record>>(*ctx.sim, 32));
       receiver_cores_.push_back(std::make_unique<des::Resource>(*ctx.sim, 1));
     }
-    // Data-plane batch size: 1 spawns the per-record processes (the exact
-    // historical code paths); >1 spawns the coalescing variants.
     batch_ = static_cast<size_t>(std::max(1, ctx.batch));
     for (int r = 0; r < num_receivers_; ++r) {
-      for (int f = 0; f < kFetchersPerReceiver; ++f) {
-        ctx.sim->Spawn(batch_ > 1 ? FetcherProcessBatched(r) : FetcherProcess(r));
-      }
-      ctx.sim->Spawn(batch_ > 1 ? ReceiverProcessBatched(r) : ReceiverProcess(r));
+      for (int f = 0; f < kFetchersPerReceiver; ++f) ctx.sim->Spawn(FetcherProcess(r));
+      ctx.sim->Spawn(ReceiverProcess(r));
       ctx.sim->Spawn(BlockSealer(r));
     }
     recovery_ = config_.recovery_enabled;
@@ -284,6 +280,15 @@ class SparkSut : public driver::Sut {
   /// connection, so transfer latency overlaps receiver CPU. The rate
   /// limiter gates the pops: a throttled receiver leaves data in the
   /// driver queue (the externally observable backpressure signal).
+  ///
+  /// One rate-limiter settlement / PopBatch / coalesced ingest transfer
+  /// per up to `batch_` records. The first record's tokens are acquired
+  /// before the pop; the remainder settles right after, so the token
+  /// stream the limiter sees does not depend on the batch size in total.
+  /// Tokens per record (the generator's batching weight) are learned from
+  /// the first record; the initial rate limit is uncapped anyway.
+  /// Per-record ingest stamps come from the exact per-record link
+  /// completion times.
   Task<> FetcherProcess(int r) {
     cluster::Node& my_worker = WorkerOfReceiver(r);
     cluster::Node& queue_node = ctx_.cluster->driver(r);
@@ -291,37 +296,8 @@ class SparkSut : public driver::Sut {
     engine::RateLimiter& limiter = *limiters_[static_cast<size_t>(r)];
     des::Channel<Record>& buf = *fetch_bufs_[static_cast<size_t>(r)];
 
-    // Tokens per record (the generator's batching weight) are learned from
-    // the first record; the initial rate limit is uncapped anyway.
     double tokens_per_record = 0.0;
-    for (;;) {
-      if (tokens_per_record > 0) co_await limiter.Acquire(tokens_per_record);
-      auto rec = co_await queue.Pop();
-      if (!rec.has_value()) break;
-      tokens_per_record = static_cast<double>(rec->weight);
-      co_await ctx_.cluster->Send(queue_node, my_worker, engine::WireBytes(*rec));
-      rec->ingest_time = ctx_.sim->now();
-      obs::LineageTracker::Default().StampIngested(rec->lineage, rec->ingest_time);
-      if (!co_await buf.Send(*rec)) co_return;
-    }
-    if (--fetchers_left_[static_cast<size_t>(r)] == 0) buf.Close();
-  }
-
-  /// Batched fetcher: one rate-limiter settlement / PopBatch / coalesced
-  /// ingest transfer per up to `batch_` records. The first record's tokens
-  /// are acquired before the pop (serial order); the remainder settles
-  /// right after, so the token stream the limiter sees is unchanged in
-  /// total. Per-record ingest stamps come from the exact per-record link
-  /// completion times.
-  Task<> FetcherProcessBatched(int r) {
-    cluster::Node& my_worker = WorkerOfReceiver(r);
-    cluster::Node& queue_node = ctx_.cluster->driver(r);
-    driver::DriverQueue& queue = *ctx_.queues[static_cast<size_t>(r)];
-    engine::RateLimiter& limiter = *limiters_[static_cast<size_t>(r)];
-    des::Channel<Record>& buf = *fetch_bufs_[static_cast<size_t>(r)];
-
-    double tokens_per_record = 0.0;
-    engine::RecordBatch recs;
+    engine::RecordBatch recs(0);  // grows on the first pop, after set-up
     std::vector<int64_t> bytes;
     std::vector<SimTime> arrivals;
     for (;;) {
@@ -346,62 +322,36 @@ class SparkSut : public driver::Sut {
     if (--fetchers_left_[static_cast<size_t>(r)] == 0) buf.Close();
   }
 
+  /// Receiver: drains up to `batch_` buffered records per resume and
+  /// charges the single-threaded receiver loop as one coalesced FIFO
+  /// admission. This serial cost caps per-receiver ingest (Spark
+  /// deployments scale by adding receivers). Contention with running batch
+  /// tasks slows the pull while a job executes; the executor-contention
+  /// factor is sampled once per batch (per record at --batch=1), so a
+  /// batch completes when a record-at-a-time loop would under a constant
+  /// busy fraction.
   Task<> ReceiverProcess(int r) {
     cluster::Node& my_worker = WorkerOfReceiver(r);
     des::Channel<Record>& buf = *fetch_bufs_[static_cast<size_t>(r)];
     // Spark receivers run as long-running tasks that permanently occupy
     // one executor core — they do not queue behind batch tasks.
     des::Resource& my_core = *receiver_cores_[static_cast<size_t>(r)];
-    for (;;) {
-      auto rec = co_await buf.Recv();
-      if (!rec.has_value()) break;
-      // Single-threaded receiver loop: this serial cost caps per-receiver
-      // ingest (Spark deployments scale by adding receivers). Contention
-      // with running batch tasks slows the pull while a job executes.
-      const double busy_frac =
-          static_cast<double>(my_worker.cpu().busy()) /
-          static_cast<double>(my_worker.cpu().servers());
-      co_await my_core.Use(
-          CostUs(config_.receiver_cost_us * receiver_overhead_ *
-                 (1.0 + config_.receiver_contention * busy_frac) * rec->weight));
-      my_worker.RecordAllocation(config_.alloc_bytes_per_tuple * rec->weight);
-      metrics_.records->Add(rec->weight);
-      SparkBlock& block = current_blocks_[static_cast<size_t>(r)];
-      block.home_worker = r % ctx_.cluster->num_workers();
-      block.records.push_back(*rec);
-      block.tuples += rec->weight;
-    }
-    ++receivers_done_;
-  }
-
-  /// Batched receiver: drains up to `batch_` buffered records per resume
-  /// and charges the single-threaded receiver loop as one coalesced FIFO
-  /// admission on the dedicated receiver core. The executor-contention
-  /// factor is sampled once per batch (the serial loop samples it per
-  /// record); per-record costs otherwise match, so the batch completes at
-  /// the same time the serial loop would under a constant busy fraction.
-  Task<> ReceiverProcessBatched(int r) {
-    cluster::Node& my_worker = WorkerOfReceiver(r);
-    des::Channel<Record>& buf = *fetch_bufs_[static_cast<size_t>(r)];
-    des::Resource& my_core = *receiver_cores_[static_cast<size_t>(r)];
     std::vector<Record> recs;
-    std::vector<SimTime> costs;
     for (;;) {
       if (!co_await buf.RecvMany(&recs, batch_)) break;
       const double busy_frac =
           static_cast<double>(my_worker.cpu().busy()) /
           static_cast<double>(my_worker.cpu().servers());
-      costs.clear();
+      SimTime cost = 0;
       int64_t alloc = 0;
       uint64_t tuples = 0;
       for (const Record& rec : recs) {
-        costs.push_back(
-            CostUs(config_.receiver_cost_us * receiver_overhead_ *
-                   (1.0 + config_.receiver_contention * busy_frac) * rec.weight));
+        cost += CostUs(config_.receiver_cost_us * receiver_overhead_ *
+                       (1.0 + config_.receiver_contention * busy_frac) * rec.weight);
         alloc += config_.alloc_bytes_per_tuple * rec.weight;
         tuples += rec.weight;
       }
-      co_await my_core.UseBatch(costs);
+      co_await my_core.Use(cost);
       my_worker.RecordAllocation(alloc);
       metrics_.records->Add(tuples);
       SparkBlock& block = current_blocks_[static_cast<size_t>(r)];
@@ -1124,7 +1074,9 @@ class SparkSut : public driver::Sut {
   int64_t slide_batches_ = 0;
   int64_t batch_index_ = 0;
   int receivers_done_ = 0;
-  size_t batch_ = 1;  // data-plane batch size (1 = per-record paths)
+  // Data-plane batch size: records per PopBatch / RecvMany (every size
+  // runs the same code; 1 is the paper's record-at-a-time pull).
+  size_t batch_ = 1;
   double rate_limit_ = 1e12;
 
   std::vector<std::unique_ptr<engine::RateLimiter>> limiters_;

@@ -109,8 +109,6 @@ class StormSut : public driver::Sut {
       ctx.sim->Spawn(AckerProcess());
     }
 
-    // Data-plane batch size: 1 spawns the per-record processes (the exact
-    // historical code paths); >1 spawns the coalescing variants.
     batch_ = static_cast<size_t>(std::max(1, ctx.batch));
     // Shuffle-side combining: batched aggregation shuffles only, and the
     // ack/replay machinery tracks raw tuples, so not under recovery.
@@ -121,7 +119,7 @@ class StormSut : public driver::Sut {
           "storm: shuffle_combine is incompatible with recovery_enabled");
     }
     for (int s = 0; s < num_spouts_; ++s) {
-      ctx.sim->Spawn(batch_ > 1 ? SpoutProcessBatched(s) : SpoutProcess(s));
+      ctx.sim->Spawn(SpoutProcess(s));
     }
     for (int q = 0; q < num_queues_; ++q) ctx.sim->Spawn(WatermarkProcess(q));
     for (int b = 0; b < num_bolts_; ++b) ctx.sim->Spawn(BoltProcess(b));
@@ -161,84 +159,16 @@ class StormSut : public driver::Sut {
            static_cast<size_t>(ctx_.cluster->num_drivers());
   }
 
+  /// Spout: one PopBatch / ingest SendBatch / cpu UseBatch per up to
+  /// `batch_` records (one record at --batch=1, the paper's
+  /// record-at-a-time pull). Spout + acker CPU work is one FIFO admission
+  /// per batch (a record-at-a-time spout would make two per record, which
+  /// differs only on a contended worker); remote serde/transfers are
+  /// grouped per target worker; channel delivery (including the
+  /// naive-join ads broadcast and the drop-counting no-backpressure path)
+  /// stays per record.
   Task<> SpoutProcess(int s) {
-    cluster::Node& my_worker = WorkerOfSpout(s);
-    const int queue_idx = QueueOfSpout(s);
-    cluster::Node& queue_node = ctx_.cluster->driver(queue_idx);
-    driver::DriverQueue& queue = *ctx_.queues[static_cast<size_t>(queue_idx)];
-    SimTime& queue_max_event = queue_max_event_[static_cast<size_t>(queue_idx)];
-    int consecutive_drops = 0;
-
-    for (;;) {
-      // Topology-wide bang-bang throttle: spouts stop emitting entirely.
-      while (throttled_) co_await des::Delay(*ctx_.sim, config_.throttle_poll);
-
-      auto rec = co_await queue.Pop();
-      if (!rec.has_value()) break;
-      co_await ctx_.cluster->Send(queue_node, my_worker, engine::WireBytes(*rec));
-      rec->ingest_time = ctx_.sim->now();
-      obs::LineageTracker::Default().StampIngested(rec->lineage, rec->ingest_time);
-      co_await my_worker.cpu().Use(
-          CostUs(config_.spout_cost_us * overhead_ * rec->weight));
-      // At-least-once ack bookkeeping (acker executor colocated with the
-      // spout's worker; acker network traffic folded into the CPU charge).
-      co_await my_worker.cpu().Use(
-          CostUs(config_.ack_cost_us * overhead_ * rec->weight));
-      my_worker.RecordAllocation(config_.alloc_bytes_per_tuple * rec->weight);
-
-      if (rec->event_time > queue_max_event) queue_max_event = rec->event_time;
-
-      if (config_.query.kind == engine::QueryKind::kJoin &&
-          rec->stream == engine::StreamId::kAds) {
-        // Naive join: the ads stream is broadcast to every bolt (each bolt
-        // keeps a full ads copy and matches its purchase partition).
-        for (int w = 0; w < ctx_.cluster->num_workers(); ++w) {
-          cluster::Node& target = ctx_.cluster->worker(w);
-          if (target.id() == my_worker.id()) continue;
-          co_await my_worker.cpu().Use(
-              CostUs(config_.remote_serde_cost_us * overhead_ * rec->weight));
-          co_await ctx_.cluster->Send(my_worker, target, engine::WireBytes(*rec));
-        }
-        for (auto& bolt_ch : channels_) {
-          if (!co_await bolt_ch->Send(Message::MakeRecord(*rec))) co_return;
-        }
-        continue;
-      }
-
-      const int b = (*partitioner_)(rec->key);  // == PartitionForKey
-      cluster::Node& target = WorkerOfBolt(b);
-      if (target.id() != my_worker.id()) {
-        co_await my_worker.cpu().Use(
-            CostUs(config_.remote_serde_cost_us * overhead_ * rec->weight));
-        co_await ctx_.cluster->Send(my_worker, target, engine::WireBytes(*rec));
-      }
-
-      Channel<Message>& ch = *channels_[static_cast<size_t>(b)];
-      if (config_.enable_backpressure) {
-        if (!co_await ch.Send(Message::MakeRecord(*rec))) co_return;
-      } else {
-        // No flow control: a full receive queue drops the tuple; sustained
-        // overflow drops the ingest connection (a failed run, Sec. VI-A).
-        if (ch.TrySend(Message::MakeRecord(*rec))) {
-          consecutive_drops = 0;
-        } else if (++consecutive_drops >= config_.drop_limit) {
-          ctx_.report_failure(Status::Aborted(
-              "storm: dropped connection to the data generator queue "
-              "(receive queues overflowed with backpressure disabled)"));
-          co_return;
-        }
-      }
-    }
-    --queue_active_spouts_[static_cast<size_t>(queue_idx)];
-  }
-
-  /// Batched spout: one PopBatch / ingest SendBatch / cpu UseBatch per up
-  /// to `batch_` records. Spout + acker CPU charges are coalesced into a
-  /// single FIFO admission (two cost entries per record, identical total);
-  /// remote serde/transfers are grouped per target worker; channel
-  /// delivery (including the naive-join ads broadcast and the
-  /// drop-counting no-backpressure path) stays per record.
-  Task<> SpoutProcessBatched(int s) {
+    const int my_w = s / spouts_per_worker_;
     cluster::Node& my_worker = WorkerOfSpout(s);
     const int queue_idx = QueueOfSpout(s);
     cluster::Node& queue_node = ctx_.cluster->driver(queue_idx);
@@ -247,21 +177,24 @@ class StormSut : public driver::Sut {
     SimTime& unsent_floor = spout_unsent_floor_[static_cast<size_t>(s)];
     int consecutive_drops = 0;
     const bool join = config_.query.kind == engine::QueryKind::kJoin;
+    const int workers = ctx_.cluster->num_workers();
 
-    engine::RecordBatch recs;
+    engine::RecordBatch recs(0);  // grows on the first pop, after set-up
     std::vector<int64_t> bytes;
     std::vector<SimTime> arrivals;
-    std::vector<SimTime> costs;
-    std::vector<int> bolts;  // target bolt per record; -1 = ads broadcast
-    std::vector<std::pair<cluster::Node*, std::vector<int64_t>>> remote;
+    engine::RemoteGroups remote;
+    // Delivery order: (bolt, record index into the routed run); bolt -1 is
+    // an ads record the naive join broadcasts to every bolt.
+    std::vector<std::pair<int, uint32_t>> route;
     // Columnar shuffle state for the non-join path (engine/columnar.h).
     engine::ColumnarBatch cols;
     engine::PartitionPlan plan;
-    engine::RecordBatch combined;
+    engine::RecordBatch combined(combine_ ? batch_ : 0);
     std::optional<engine::ShuffleCombiner> combiner;
     if (combine_) combiner.emplace(config_.query.window.slide);
 
     for (;;) {
+      // Topology-wide bang-bang throttle: spouts stop emitting entirely.
       while (throttled_) co_await des::Delay(*ctx_.sim, config_.throttle_poll);
 
       if (!co_await queue.PopBatch(&recs, batch_)) break;
@@ -269,142 +202,113 @@ class StormSut : public driver::Sut {
       // Raised before the first suspension: from this instant until each
       // record lands in its channel, watermarks stay below the batch.
       unsent_floor = recs[0].event_time;
-      bytes.clear();
-      arrivals.assign(k, 0);
-      for (const Record& rec : recs) bytes.push_back(engine::WireBytes(rec));
+      bytes.resize(k);
+      arrivals.resize(k);
+      for (size_t i = 0; i < k; ++i) bytes[i] = engine::WireBytes(recs[i]);
       co_await ctx_.cluster->SendBatch(queue_node, my_worker, bytes.data(), k,
                                        arrivals.data());
-      costs.clear();
+      // Spout work plus at-least-once ack bookkeeping (acker executor
+      // colocated with the spout's worker; acker network traffic folded
+      // into the CPU charge), as one CPU admission for the run.
+      SimTime cost = 0;
       int64_t alloc = 0;
       for (size_t i = 0; i < k; ++i) {
         recs[i].ingest_time = arrivals[i];
         obs::LineageTracker::Default().StampIngested(recs[i].lineage, arrivals[i]);
-        costs.push_back(CostUs(config_.spout_cost_us * overhead_ * recs[i].weight));
-        costs.push_back(CostUs(config_.ack_cost_us * overhead_ * recs[i].weight));
+        cost += CostUs(config_.spout_cost_us * overhead_ * recs[i].weight);
+        cost += CostUs(config_.ack_cost_us * overhead_ * recs[i].weight);
         alloc += config_.alloc_bytes_per_tuple * recs[i].weight;
       }
-      co_await my_worker.cpu().UseBatch(costs);
+      co_await my_worker.cpu().Use(cost);
       my_worker.RecordAllocation(alloc);
+      for (const Record& rec : recs) {
+        if (rec.event_time > queue_max_event) queue_max_event = rec.event_time;
+      }
 
       // Route: coalesce serde + transfers per target worker; an ads record
       // under the naive join fans out to every remote worker.
-      costs.clear();
-      bolts.clear();
-      remote.clear();
-      auto add_remote = [&](cluster::Node& target, const Record& rec) {
-        costs.push_back(CostUs(config_.remote_serde_cost_us * overhead_ *
-                               engine::PhysicalTuples(rec)));
-        auto it = std::find_if(remote.begin(), remote.end(),
-                               [&target](const auto& g) { return g.first == &target; });
-        if (it == remote.end()) {
-          remote.emplace_back(&target, std::vector<int64_t>{});
-          it = remote.end() - 1;
-        }
-        it->second.push_back(engine::WireBytes(rec));
+      cost = 0;
+      remote.Clear();
+      route.clear();
+      auto add_remote = [&](int w, const Record& rec) {
+        cost += CostUs(config_.remote_serde_cost_us * overhead_ *
+                       engine::PhysicalTuples(rec));
+        remote.Add(w, engine::WireBytes(rec));
       };
-      // Channel delivery shared by both routing paths: the backpressured
-      // send or the drop-counting no-flow-control path. Returns false when
-      // the topology shut down or the connection dropped.
-      auto deliver = [&](int b, const Record& rec) -> Task<bool> {
-        Channel<Message>& ch = *channels_[static_cast<size_t>(b)];
-        if (config_.enable_backpressure) {
-          if (!co_await ch.Send(Message::MakeRecord(rec))) {
-            unsent_floor = kNoUnsentFloor;
-            co_return false;
-          }
-          co_return true;
-        }
-        if (ch.TrySend(Message::MakeRecord(rec))) {
-          consecutive_drops = 0;
-        } else if (++consecutive_drops >= config_.drop_limit) {
-          ctx_.report_failure(Status::Aborted(
-              "storm: dropped connection to the data generator queue "
-              "(receive queues overflowed with backpressure disabled)"));
-          unsent_floor = kNoUnsentFloor;
-          co_return false;
-        }
-        co_return true;
-      };
-
+      const engine::RecordBatch* shuffle = &recs;
       if (!join) {
-        // Columnar shuffle: advance the event-time clock over the raw
-        // batch (the floor still caps watermarks below it), optionally
-        // pre-aggregate, then radix-partition into bolt-major runs.
-        for (size_t i = 0; i < k; ++i) {
-          if (recs[i].event_time > queue_max_event) {
-            queue_max_event = recs[i].event_time;
-          }
-        }
-        const engine::RecordBatch* shuffle = &recs;
+        // Columnar shuffle: optionally pre-aggregate, then radix-partition
+        // into bolt-major runs (the floor still caps watermarks below the
+        // raw batch).
         if (combine_) {
           combined.Clear();
           combiner->Combine(recs.begin(), k, &combined);
           combined.Seal();
           shuffle = &combined;
         }
-        const engine::RecordBatch& run = *shuffle;
-        const size_t n = run.size();
-        cols.LoadKeys(run.begin(), n);
+        const size_t n = shuffle->size();
+        cols.LoadKeys(shuffle->begin(), n);
         engine::RadixPartition(cols.keys.data(), n, *partitioner_, &plan);
-        for (int b = 0; b < num_bolts_; ++b) {
-          cluster::Node& target = WorkerOfBolt(b);
-          if (target.id() == my_worker.id()) continue;
-          for (const uint32_t* it = plan.Begin(b); it != plan.End(b); ++it) {
-            add_remote(target, run[*it]);
-          }
+        for (size_t j = 0; j < n; ++j) {
+          const uint32_t i = plan.index[j];
+          const int b = static_cast<int>(plan.dests[i]);
+          route.emplace_back(b, i);
+          if (b % workers != my_w) add_remote(b % workers, (*shuffle)[i]);  // WorkerOfBolt
         }
-        if (!costs.empty()) {
-          co_await my_worker.cpu().UseBatch(costs);
-          for (const auto& [node, group] : remote) {
-            co_await ctx_.cluster->SendBatch(my_worker, *node, group.data(),
-                                             group.size(), nullptr);
+      } else {
+        for (uint32_t i = 0; i < k; ++i) {
+          if (recs[i].stream == engine::StreamId::kAds) {
+            route.emplace_back(-1, i);
+            for (int w = 0; w < workers; ++w) {
+              if (w != my_w) add_remote(w, recs[i]);
+            }
+            continue;
           }
+          const int b = (*partitioner_)(recs[i].key);  // == PartitionForKey
+          route.emplace_back(b, i);
+          if (b % workers != my_w) add_remote(b % workers, recs[i]);
         }
-        for (int b = 0; b < num_bolts_; ++b) {
-          for (const uint32_t* it = plan.Begin(b); it != plan.End(b); ++it) {
-            if (!co_await deliver(b, run[*it])) co_return;
-          }
+      }
+      if (!remote.workers().empty()) {
+        co_await my_worker.cpu().Use(cost);
+        for (const int w : remote.workers()) {
+          const std::vector<int64_t>& group = remote.bytes(w);
+          co_await ctx_.cluster->SendBatch(my_worker, ctx_.cluster->worker(w),
+                                           group.data(), group.size(), nullptr);
         }
-        unsent_floor = kNoUnsentFloor;
-        continue;
       }
 
-      for (size_t i = 0; i < k; ++i) {
-        if (recs[i].event_time > queue_max_event) queue_max_event = recs[i].event_time;
-        if (recs[i].stream == engine::StreamId::kAds) {
-          bolts.push_back(-1);
-          for (int w = 0; w < ctx_.cluster->num_workers(); ++w) {
-            cluster::Node& target = ctx_.cluster->worker(w);
-            if (target.id() != my_worker.id()) add_remote(target, recs[i]);
-          }
-          continue;
-        }
-        const int b = (*partitioner_)(recs[i].key);  // == PartitionForKey
-        bolts.push_back(b);
-        cluster::Node& target = WorkerOfBolt(b);
-        if (target.id() != my_worker.id()) add_remote(target, recs[i]);
-      }
-      if (!costs.empty()) {
-        co_await my_worker.cpu().UseBatch(costs);
-        for (const auto& [node, group] : remote) {
-          co_await ctx_.cluster->SendBatch(my_worker, *node, group.data(),
-                                           group.size(), nullptr);
-        }
-      }
-      for (size_t i = 0; i < k; ++i) {
-        if (bolts[i] < 0) {
+      // Channel delivery: the backpressured send or the drop-counting
+      // no-flow-control path. The join path delivers in pop order, so the
+      // floor follows it record by record; the bolt-major shuffle only
+      // releases it once the whole batch is delivered.
+      for (size_t j = 0; j < route.size(); ++j) {
+        const auto [b, i] = route[j];
+        const Record& rec = (*shuffle)[i];
+        bool ok = true;
+        if (b < 0) {
           for (auto& bolt_ch : channels_) {
-            if (!co_await bolt_ch->Send(Message::MakeRecord(recs[i]))) {
-              unsent_floor = kNoUnsentFloor;
-              co_return;
-            }
+            if (!(ok = co_await bolt_ch->Send(Message::MakeRecord(rec)))) break;
           }
-          unsent_floor = i + 1 < k ? recs[i + 1].event_time : kNoUnsentFloor;
-          continue;
+        } else if (config_.enable_backpressure) {
+          ok = co_await channels_[static_cast<size_t>(b)]->Send(Message::MakeRecord(rec));
+        } else if (channels_[static_cast<size_t>(b)]->TrySend(Message::MakeRecord(rec))) {
+          consecutive_drops = 0;
+        } else if (++consecutive_drops >= config_.drop_limit) {
+          // Sustained overflow drops the ingest connection (a failed run,
+          // Sec. VI-A).
+          ctx_.report_failure(Status::Aborted(
+              "storm: dropped connection to the data generator queue "
+              "(receive queues overflowed with backpressure disabled)"));
+          ok = false;
         }
-        if (!co_await deliver(bolts[i], recs[i])) co_return;
-        unsent_floor = i + 1 < k ? recs[i + 1].event_time : kNoUnsentFloor;
+        if (!ok) {  // topology shut down or the connection dropped
+          unsent_floor = kNoUnsentFloor;
+          co_return;
+        }
+        if (join) unsent_floor = i + 1 < k ? recs[i + 1].event_time : kNoUnsentFloor;
       }
+      unsent_floor = kNoUnsentFloor;
     }
     --queue_active_spouts_[static_cast<size_t>(queue_idx)];
   }
@@ -423,8 +327,8 @@ class StormSut : public driver::Sut {
       }
       SimTime wm = queue_max_event_[static_cast<size_t>(q)];
       if (wm == engine::kNoWatermark) continue;
-      // Batched data plane: cap below the oldest popped-but-undelivered
-      // record across this queue's spouts (see the member comment).
+      // Cap below the oldest popped-but-undelivered record across this
+      // queue's spouts (see the member comment).
       for (int s = 0; s < num_spouts_; ++s) {
         if (QueueOfSpout(s) != q) continue;
         const SimTime floor = spout_unsent_floor_[static_cast<size_t>(s)];
@@ -508,147 +412,48 @@ class StormSut : public driver::Sut {
 
   Task<> BoltProcess(int b) {
     if (config_.query.kind == engine::QueryKind::kAggregation) {
-      if (batch_ > 1) {
-        co_await AggBoltBatched(b);
-      } else {
-        co_await AggBolt(b);
-      }
-    } else if (batch_ > 1) {
-      co_await JoinBoltBatched(b);
+      co_await WindowBolt(b, bolt_agg_);
     } else {
-      co_await JoinBolt(b);
+      co_await WindowBolt(b, bolt_join_);
     }
   }
 
-  Task<> AggBolt(int b) {
+  /// Trigger-time work of a fired window, for the span and the CPU charge.
+  struct FireWork {
+    const char* arg;
+    uint64_t units;
+    double cost_us;
+  };
+  /// The bulk re-aggregation burst of a buffered aggregation window.
+  FireWork WorkOf(const engine::BufferedWindowState::Fired& fired) const {
+    return {"scanned", fired.tuples_scanned,
+            config_.scan_cost_us * overhead_ * static_cast<double>(fired.tuples_scanned)};
+  }
+  /// The hand-rolled naive join: SpoutProcess broadcasts the ads stream to
+  /// every bolt and hash-partitions the purchases; evaluation is a nested
+  /// loop over the window at trigger time.
+  FireWork WorkOf(const engine::JoinWindowState::Fired& fired) const {
+    return {"naive_pairs", fired.naive_pairs,
+            config_.naive_pair_cost_ns * 1e-3 * static_cast<double>(fired.naive_pairs)};
+  }
+
+  /// Window bolt (BufferedWindowState for the aggregation, JoinWindowState
+  /// for the naive join): receives up to `batch_` queued messages per
+  /// resume; each consecutive run of records is folded into the window
+  /// state in order and charged as one cpu UseBatch whose per-record
+  /// completion times (service start + cost prefix sums) equal a
+  /// record-at-a-time bolt's. Heap is charged with the run's total state
+  /// delta (one OOM probe per run); watermark triggers are handled singly.
+  template <typename State>
+  Task<> WindowBolt(int b, std::vector<State>& recovery_slots) {
     cluster::Node& my_worker = WorkerOfBolt(b);
     engine::WindowAssigner assigner(config_.query.window);
-    engine::BufferedWindowState local_state(assigner);
+    State local_state(assigner);
     engine::WatermarkTracker local_tracker(num_queues_);
     int64_t local_last_bytes = 0;
     // With recovery on, state lives in SUT-owned slots so a worker restart
     // can wipe it while the coroutine keeps running.
-    engine::BufferedWindowState& state =
-        recovery_ ? bolt_agg_[static_cast<size_t>(b)] : local_state;
-    engine::WatermarkTracker& tracker =
-        recovery_ ? bolt_trackers_[static_cast<size_t>(b)] : local_tracker;
-    int64_t& last_state_bytes =
-        recovery_ ? bolt_state_bytes_[static_cast<size_t>(b)] : local_last_bytes;
-    Channel<Message>& in = *channels_[static_cast<size_t>(b)];
-    obs::Tracer& tracer = obs::Tracer::Default();
-    const obs::TrackId track =
-        engine::OperatorTrack(my_worker.name(), name(), "bolt", b);
-
-    for (;;) {
-      auto msg = co_await in.Recv();
-      if (!msg.has_value()) break;
-      if (msg->kind == Message::Kind::kRecord) {
-        const Record& rec = msg->record;
-        const engine::AddResult added = state.Add(rec);
-        metrics_.records->Add(rec.weight);
-        metrics_.late_dropped->Add(added.late_tuples);
-        // Physical tuples: a combiner partial buffers as one object.
-        co_await my_worker.cpu().Use(
-            CostUs(config_.buffer_add_cost_us * overhead_ *
-                   engine::PhysicalTuples(rec) * added.window_updates));
-        obs::LineageTracker::Default().StampOperator(rec.lineage, ctx_.sim->now());
-        my_worker.RecordAllocation(config_.alloc_bytes_per_tuple *
-                                   engine::PhysicalTuples(rec));
-        if (!ChargeHeap(my_worker, state.state_bytes() - last_state_bytes)) co_return;
-        last_state_bytes = state.state_bytes();
-      } else if (tracker.Update(msg->origin, msg->watermark)) {
-        auto fired = state.FireUpTo(tracker.current());
-        std::optional<obs::ScopedSpan> span;
-        if (fired.tuples_scanned > 0 || !fired.outputs.empty()) {
-          metrics_.windows_fired->Add(1);
-          span.emplace(tracer, track, "window.fire");
-          span->Arg("scanned", static_cast<double>(fired.tuples_scanned));
-          span->Arg("outputs", static_cast<double>(fired.outputs.size()));
-        }
-        if (fired.tuples_scanned > 0) {
-          // The bulk re-aggregation burst at trigger time.
-          co_await my_worker.cpu().Use(CostUs(config_.scan_cost_us * overhead_ *
-                                              static_cast<double>(fired.tuples_scanned)));
-        }
-        ChargeHeap(my_worker, state.state_bytes() - last_state_bytes);
-        last_state_bytes = state.state_bytes();
-        if (!fired.outputs.empty()) co_await EmitOutputs(my_worker, fired.outputs);
-      }
-    }
-  }
-
-  /// The hand-rolled naive join: SpoutProcess broadcasts the ads stream to
-  /// every bolt and hash-partitions the purchases; evaluation is a nested
-  /// loop over the window at trigger time.
-  Task<> JoinBolt(int b) {
-    cluster::Node& my_worker = WorkerOfBolt(b);
-    engine::WindowAssigner assigner(config_.query.window);
-    engine::JoinWindowState local_state(assigner);
-    engine::WatermarkTracker local_tracker(num_queues_);
-    int64_t local_last_bytes = 0;
-    engine::JoinWindowState& state =
-        recovery_ ? bolt_join_[static_cast<size_t>(b)] : local_state;
-    engine::WatermarkTracker& tracker =
-        recovery_ ? bolt_trackers_[static_cast<size_t>(b)] : local_tracker;
-    int64_t& last_state_bytes =
-        recovery_ ? bolt_state_bytes_[static_cast<size_t>(b)] : local_last_bytes;
-    Channel<Message>& in = *channels_[static_cast<size_t>(b)];
-    obs::Tracer& tracer = obs::Tracer::Default();
-    const obs::TrackId track =
-        engine::OperatorTrack(my_worker.name(), name(), "bolt", b);
-
-    for (;;) {
-      auto msg = co_await in.Recv();
-      if (!msg.has_value()) break;
-      if (msg->kind == Message::Kind::kRecord) {
-        const Record& rec = msg->record;
-        const engine::AddResult added = state.Add(rec);
-        metrics_.records->Add(rec.weight);
-        metrics_.late_dropped->Add(added.late_tuples);
-        // Physical tuples: a combiner partial buffers as one object.
-        co_await my_worker.cpu().Use(
-            CostUs(config_.buffer_add_cost_us * overhead_ *
-                   engine::PhysicalTuples(rec) * added.window_updates));
-        obs::LineageTracker::Default().StampOperator(rec.lineage, ctx_.sim->now());
-        my_worker.RecordAllocation(config_.alloc_bytes_per_tuple *
-                                   engine::PhysicalTuples(rec));
-        if (!ChargeHeap(my_worker, state.state_bytes() - last_state_bytes)) co_return;
-        last_state_bytes = state.state_bytes();
-      } else if (tracker.Update(msg->origin, msg->watermark)) {
-        auto fired = state.FireUpTo(tracker.current());
-        std::optional<obs::ScopedSpan> span;
-        if (fired.naive_pairs > 0 || !fired.outputs.empty()) {
-          metrics_.windows_fired->Add(1);
-          span.emplace(tracer, track, "window.fire");
-          span->Arg("naive_pairs", static_cast<double>(fired.naive_pairs));
-          span->Arg("outputs", static_cast<double>(fired.outputs.size()));
-        }
-        if (fired.naive_pairs > 0) {
-          co_await my_worker.cpu().Use(CostUs(config_.naive_pair_cost_ns * 1e-3 *
-                                              static_cast<double>(fired.naive_pairs)));
-        }
-        ChargeHeap(my_worker, state.state_bytes() - last_state_bytes);
-        last_state_bytes = state.state_bytes();
-        if (!fired.outputs.empty()) co_await EmitOutputs(my_worker, fired.outputs);
-      }
-    }
-  }
-
-  /// Batched aggregation bolt: receives up to `batch_` queued messages per
-  /// resume; each consecutive run of records is folded into the window
-  /// state with one AddBatch + one cpu UseBatch whose per-record completion
-  /// times (service start + cost prefix sums) equal the serial bolt's.
-  /// Heap is charged with the run's total state delta (the per-record OOM
-  /// probe collapses to one check per run); watermark triggers are handled
-  /// singly, exactly as the serial bolt.
-  Task<> AggBoltBatched(int b) {
-    cluster::Node& my_worker = WorkerOfBolt(b);
-    engine::WindowAssigner assigner(config_.query.window);
-    engine::BufferedWindowState local_state(assigner);
-    engine::WatermarkTracker local_tracker(num_queues_);
-    int64_t local_last_bytes = 0;
-    engine::BufferedWindowState& state =
-        recovery_ ? bolt_agg_[static_cast<size_t>(b)] : local_state;
+    State& state = recovery_ ? recovery_slots[static_cast<size_t>(b)] : local_state;
     engine::WatermarkTracker& tracker =
         recovery_ ? bolt_trackers_[static_cast<size_t>(b)] : local_tracker;
     int64_t& last_state_bytes =
@@ -659,35 +464,29 @@ class StormSut : public driver::Sut {
         engine::OperatorTrack(my_worker.name(), name(), "bolt", b);
 
     std::vector<Message> msgs;
-    engine::RecordBatch run;
-    std::vector<engine::AddResult> added;
     std::vector<SimTime> costs;
     for (;;) {
       if (!co_await in.RecvMany(&msgs, batch_)) break;
       size_t i = 0;
       while (i < msgs.size()) {
         if (msgs[i].kind == Message::Kind::kRecord) {
-          run.Clear();
-          while (i < msgs.size() && msgs[i].kind == Message::Kind::kRecord) {
-            run.PushBack(msgs[i].record);
-            ++i;
-          }
-          added.assign(run.size(), {});
-          engine::AddBatch(state, run.begin(), run.size(), added.data());
+          const size_t first = i;
           costs.clear();
           int64_t alloc = 0;
-          for (size_t m = 0; m < run.size(); ++m) {
-            metrics_.records->Add(run[m].weight);
-            metrics_.late_dropped->Add(added[m].late_tuples);
+          for (; i < msgs.size() && msgs[i].kind == Message::Kind::kRecord; ++i) {
+            const Record& rec = msgs[i].record;
+            const engine::AddResult added = state.Add(rec);
+            metrics_.records->Add(rec.weight);
+            metrics_.late_dropped->Add(added.late_tuples);
+            // Physical tuples: a combiner partial buffers as one object.
             costs.push_back(CostUs(config_.buffer_add_cost_us * overhead_ *
-                                   engine::PhysicalTuples(run[m]) *
-                                   added[m].window_updates));
-            alloc += config_.alloc_bytes_per_tuple * engine::PhysicalTuples(run[m]);
+                                   engine::PhysicalTuples(rec) * added.window_updates));
+            alloc += config_.alloc_bytes_per_tuple * engine::PhysicalTuples(rec);
           }
           SimTime done = co_await my_worker.cpu().UseBatch(costs);
-          for (size_t m = 0; m < run.size(); ++m) {
-            done += costs[m];
-            obs::LineageTracker::Default().StampOperator(run[m].lineage, done);
+          for (size_t m = first; m < i; ++m) {
+            done += costs[m - first];
+            obs::LineageTracker::Default().StampOperator(msgs[m].record.lineage, done);
           }
           my_worker.RecordAllocation(alloc);
           if (!ChargeHeap(my_worker, state.state_bytes() - last_state_bytes)) co_return;
@@ -698,96 +497,15 @@ class StormSut : public driver::Sut {
         ++i;
         if (tracker.Update(msg.origin, msg.watermark)) {
           auto fired = state.FireUpTo(tracker.current());
+          const FireWork work = WorkOf(fired);
           std::optional<obs::ScopedSpan> span;
-          if (fired.tuples_scanned > 0 || !fired.outputs.empty()) {
+          if (work.units > 0 || !fired.outputs.empty()) {
             metrics_.windows_fired->Add(1);
             span.emplace(tracer, track, "window.fire");
-            span->Arg("scanned", static_cast<double>(fired.tuples_scanned));
+            span->Arg(work.arg, static_cast<double>(work.units));
             span->Arg("outputs", static_cast<double>(fired.outputs.size()));
           }
-          if (fired.tuples_scanned > 0) {
-            co_await my_worker.cpu().Use(CostUs(
-                config_.scan_cost_us * overhead_ *
-                static_cast<double>(fired.tuples_scanned)));
-          }
-          ChargeHeap(my_worker, state.state_bytes() - last_state_bytes);
-          last_state_bytes = state.state_bytes();
-          if (!fired.outputs.empty()) co_await EmitOutputs(my_worker, fired.outputs);
-        }
-      }
-    }
-  }
-
-  /// Batched join bolt: mirrors AggBoltBatched with the join cost model.
-  Task<> JoinBoltBatched(int b) {
-    cluster::Node& my_worker = WorkerOfBolt(b);
-    engine::WindowAssigner assigner(config_.query.window);
-    engine::JoinWindowState local_state(assigner);
-    engine::WatermarkTracker local_tracker(num_queues_);
-    int64_t local_last_bytes = 0;
-    engine::JoinWindowState& state =
-        recovery_ ? bolt_join_[static_cast<size_t>(b)] : local_state;
-    engine::WatermarkTracker& tracker =
-        recovery_ ? bolt_trackers_[static_cast<size_t>(b)] : local_tracker;
-    int64_t& last_state_bytes =
-        recovery_ ? bolt_state_bytes_[static_cast<size_t>(b)] : local_last_bytes;
-    Channel<Message>& in = *channels_[static_cast<size_t>(b)];
-    obs::Tracer& tracer = obs::Tracer::Default();
-    const obs::TrackId track =
-        engine::OperatorTrack(my_worker.name(), name(), "bolt", b);
-
-    std::vector<Message> msgs;
-    engine::RecordBatch run;
-    std::vector<engine::AddResult> added;
-    std::vector<SimTime> costs;
-    for (;;) {
-      if (!co_await in.RecvMany(&msgs, batch_)) break;
-      size_t i = 0;
-      while (i < msgs.size()) {
-        if (msgs[i].kind == Message::Kind::kRecord) {
-          run.Clear();
-          while (i < msgs.size() && msgs[i].kind == Message::Kind::kRecord) {
-            run.PushBack(msgs[i].record);
-            ++i;
-          }
-          added.assign(run.size(), {});
-          engine::AddBatch(state, run.begin(), run.size(), added.data());
-          costs.clear();
-          int64_t alloc = 0;
-          for (size_t m = 0; m < run.size(); ++m) {
-            metrics_.records->Add(run[m].weight);
-            metrics_.late_dropped->Add(added[m].late_tuples);
-            costs.push_back(CostUs(config_.buffer_add_cost_us * overhead_ *
-                                   engine::PhysicalTuples(run[m]) *
-                                   added[m].window_updates));
-            alloc += config_.alloc_bytes_per_tuple * engine::PhysicalTuples(run[m]);
-          }
-          SimTime done = co_await my_worker.cpu().UseBatch(costs);
-          for (size_t m = 0; m < run.size(); ++m) {
-            done += costs[m];
-            obs::LineageTracker::Default().StampOperator(run[m].lineage, done);
-          }
-          my_worker.RecordAllocation(alloc);
-          if (!ChargeHeap(my_worker, state.state_bytes() - last_state_bytes)) co_return;
-          last_state_bytes = state.state_bytes();
-          continue;
-        }
-        const Message msg = msgs[i];
-        ++i;
-        if (tracker.Update(msg.origin, msg.watermark)) {
-          auto fired = state.FireUpTo(tracker.current());
-          std::optional<obs::ScopedSpan> span;
-          if (fired.naive_pairs > 0 || !fired.outputs.empty()) {
-            metrics_.windows_fired->Add(1);
-            span.emplace(tracer, track, "window.fire");
-            span->Arg("naive_pairs", static_cast<double>(fired.naive_pairs));
-            span->Arg("outputs", static_cast<double>(fired.outputs.size()));
-          }
-          if (fired.naive_pairs > 0) {
-            co_await my_worker.cpu().Use(CostUs(
-                config_.naive_pair_cost_ns * 1e-3 *
-                static_cast<double>(fired.naive_pairs)));
-          }
+          if (work.units > 0) co_await my_worker.cpu().Use(CostUs(work.cost_us));
           ChargeHeap(my_worker, state.state_bytes() - last_state_bytes);
           last_state_bytes = state.state_bytes();
           if (!fired.outputs.empty()) co_await EmitOutputs(my_worker, fired.outputs);
@@ -816,20 +534,21 @@ class StormSut : public driver::Sut {
   int num_spouts_ = 0;
   int num_queues_ = 0;
   int spouts_per_worker_ = 1;
-  size_t batch_ = 1;  // data-plane batch size (1 = per-record paths)
-  bool combine_ = false;  // shuffle-side pre-aggregation (batched agg only)
+  // Data-plane batch size: records per PopBatch / RecvMany (every size
+  // runs the same code; 1 is the paper's record-at-a-time pull).
+  size_t batch_ = 1;
+  bool combine_ = false;  // shuffle-side pre-aggregation (agg, batch_ > 1)
   // Divide-free partition mapper, identical to PartitionForKey modulo.
   std::optional<engine::Partitioner> partitioner_;
   bool throttled_ = false;
   std::vector<std::unique_ptr<Channel<Message>>> channels_;
   std::vector<int64_t> heap_used_;
   std::vector<SimTime> queue_max_event_;
-  /// Batched data plane only: event time of the oldest record each spout
-  /// has popped but not yet delivered into a bolt channel (kNoUnsentFloor
-  /// when it holds none). WatermarkProcess caps its broadcast below this
-  /// floor so a watermark cannot overtake undelivered records while other
-  /// spouts race ahead through a backlog (see flink.cc for the full
-  /// rationale); the per-record path keeps the historical behavior.
+  /// Event time of the oldest record each spout has popped but not yet
+  /// delivered into a bolt channel (kNoUnsentFloor when it holds none).
+  /// WatermarkProcess caps its broadcast below this floor so a watermark
+  /// cannot overtake undelivered records while other spouts race ahead
+  /// through a backlog (see flink.cc for the full rationale).
   static constexpr SimTime kNoUnsentFloor = std::numeric_limits<SimTime>::max();
   std::vector<SimTime> spout_unsent_floor_;
   std::vector<int> queue_active_spouts_;

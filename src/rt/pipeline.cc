@@ -1085,14 +1085,20 @@ RtResult RunRtPipeline(const RtPipelineConfig& config) {
     result.tuples_per_s =
         static_cast<double>(result.input_tuples) / result.wall_seconds;
   }
-  const obs::QuantileSketch& sketch = sink.event_latency_sketch();
-  if (sketch.count() > 0) {
-    result.event_p50_s = sketch.Quantile(0.50);
-    result.event_p95_s = sketch.Quantile(0.95);
-    result.event_p99_s = sketch.Quantile(0.99);
-  }
+  SetEventLatencyPercentiles(sink.event_latency(), &result);
   result.outputs = std::move(captured);
   return result;
+}
+
+void SetEventLatencyPercentiles(const driver::Histogram& event_latency,
+                                RtResult* result) {
+  if (event_latency.count() == 0) return;
+  constexpr double kQs[3] = {0.50, 0.95, 0.99};
+  SimTime at[3];
+  event_latency.Quantiles(kQs, 3, at);
+  result->event_p50_s = ToSeconds(at[0]);
+  result->event_p95_s = ToSeconds(at[1]);
+  result->event_p99_s = ToSeconds(at[2]);
 }
 
 }  // namespace sdps::rt

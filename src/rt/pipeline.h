@@ -34,6 +34,7 @@
 #include "common/status.h"
 #include "common/time_util.h"
 #include "driver/generator.h"
+#include "driver/histogram.h"
 #include "engine/query.h"
 #include "engine/record.h"
 #include "rt/profiler.h"
@@ -165,7 +166,8 @@ struct RtResult {
   /// time — hardware truth, not a model prediction.
   double records_per_s = 0.0;
   double tuples_per_s = 0.0;
-  /// Sink event-time latency percentiles, seconds (obs::QuantileSketch;
+  /// Sink event-time latency percentiles, seconds: nearest-rank quantiles
+  /// of the sink's exact latency histogram (SetEventLatencyPercentiles;
   /// meaningful in paced mode where the planned schedule is real time).
   double event_p50_s = 0.0;
   double event_p95_s = 0.0;
@@ -197,6 +199,12 @@ struct RtResult {
 /// the caller should not run concurrent trials (the whole point is
 /// hardware truth on an unshared machine).
 RtResult RunRtPipeline(const RtPipelineConfig& config);
+
+/// Fills result->event_p50_s / event_p95_s / event_p99_s with the
+/// nearest-rank quantiles of `event_latency` (every sink output's
+/// event-time latency, exact to the microsecond); zeros when it is empty.
+void SetEventLatencyPercentiles(const driver::Histogram& event_latency,
+                                RtResult* result);
 
 }  // namespace sdps::rt
 

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include "driver/sustainable.h"
+#include "pop_one.h"
 
 namespace sdps::driver {
 namespace {
@@ -36,7 +37,7 @@ class FixedCapacitySut : public Sut {
  private:
   des::Task<> Pull(DriverQueue& queue, double tuples_per_sec) {
     for (;;) {
-      auto rec = co_await queue.Pop();
+      auto rec = co_await PopOne(queue);
       if (!rec) co_return;
       const auto service = static_cast<SimTime>(
           static_cast<double>(rec->weight) / tuples_per_sec * 1e6);

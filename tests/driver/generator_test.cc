@@ -6,6 +6,7 @@
 
 #include "des/simulator.h"
 #include "engine/window.h"
+#include "pop_one.h"
 
 namespace sdps::driver {
 namespace {
@@ -65,7 +66,7 @@ struct Popped {
 
 des::Task<> DrainAll(des::Simulator& sim, DriverQueue& q, std::vector<Popped>& out) {
   for (;;) {
-    auto r = co_await q.Pop();
+    auto r = co_await PopOne(q);
     if (!r) co_return;
     out.push_back(
         Popped{sim.now(), r->event_time, r->key, r->stream, r->value, r->weight});
@@ -118,7 +119,7 @@ TEST(GeneratorTest, EventTimesAreGenerationTimes) {
   std::vector<SimTime> times;
   sim.Spawn([](DriverQueue& queue, std::vector<SimTime>& out) -> des::Task<> {
     for (;;) {
-      auto r = co_await queue.Pop();
+      auto r = co_await PopOne(queue);
       if (!r) co_return;
       out.push_back(r->event_time);
       EXPECT_EQ(r->ingest_time, -1);  // not yet ingested by any SUT
@@ -151,7 +152,7 @@ TEST(GeneratorTest, StepRateProfile) {
   // Drain everything as it arrives so the meter sees the push rate.
   sim.Spawn([](DriverQueue& queue) -> des::Task<> {
     for (;;) {
-      auto r = co_await queue.Pop();
+      auto r = co_await PopOne(queue);
       if (!r) co_return;
     }
   }(q));
@@ -169,7 +170,7 @@ TEST(GeneratorTest, SingleKeyDistribution) {
   bool all_same = true;
   sim.Spawn([](DriverQueue& queue, bool& same) -> des::Task<> {
     for (;;) {
-      auto r = co_await queue.Pop();
+      auto r = co_await PopOne(queue);
       if (!r) co_return;
       if (r->key != 0) same = false;
     }
@@ -193,7 +194,7 @@ TEST(GeneratorTest, JoinWorkloadStreamsAndSelectivity) {
   // frame) — state is passed by reference parameter instead.
   sim.Spawn([](DriverQueue& queue, Counts& c) -> des::Task<> {
     for (;;) {
-      auto r = co_await queue.Pop();
+      auto r = co_await PopOne(queue);
       if (!r) co_return;
       if (r->stream == engine::StreamId::kAds) {
         ++c.ads;
@@ -227,7 +228,7 @@ TEST(GeneratorTest, NonMatchingPurchasesUseDisjointKeySpace) {
   } seen;
   sim.Spawn([](DriverQueue& queue, Seen& sn) -> des::Task<> {
     for (;;) {
-      auto r = co_await queue.Pop();
+      auto r = co_await PopOne(queue);
       if (!r) co_return;
       if (r->stream == engine::StreamId::kAds) {
         sn.ad_keys[r->key] = 1;

@@ -67,4 +67,26 @@ TEST(HistogramEdgeCaseTest, TwoSamplesNearestRankIsExact) {
 }
 
 }  // namespace
+TEST(HistogramEdgeCaseTest, QuantilesBySelectionMatchQuantile) {
+  for (const size_t n : {1u, 2u, 7u, 1000u, 12345u}) {
+    Histogram selected;
+    Histogram sorted;
+    uint64_t x = 88172645463325252ull;
+    for (size_t i = 0; i < n; ++i) {
+      x ^= x << 13;
+      x ^= x >> 7;
+      x ^= x << 17;
+      const SimTime v = static_cast<SimTime>(x % 100000);
+      selected.Add(v);
+      sorted.Add(v);
+    }
+    const double qs[] = {0.0, 0.5, 0.5, 0.9, 0.95, 0.99, 1.0};
+    SimTime got[7];
+    selected.Quantiles(qs, 7, got);
+    for (size_t i = 0; i < 7; ++i) {
+      EXPECT_EQ(got[i], sorted.Quantile(qs[i])) << "n=" << n << " q=" << qs[i];
+    }
+  }
+}
+
 }  // namespace sdps::driver

@@ -5,6 +5,7 @@
 #include "des/simulator.h"
 #include "des/task.h"
 #include "engine/batch.h"
+#include "pop_one.h"
 
 namespace sdps::driver {
 namespace {
@@ -33,7 +34,7 @@ TEST(DriverQueueTest, PopDrainsFifo) {
   std::vector<SimTime> got;
   sim.Spawn([](DriverQueue& queue, std::vector<SimTime>& out) -> des::Task<> {
     for (;;) {
-      auto r = co_await queue.Pop();
+      auto r = co_await PopOne(queue);
       if (!r) co_return;
       out.push_back(r->event_time);
     }
@@ -50,7 +51,7 @@ TEST(DriverQueueTest, PopBlocksUntilPush) {
   DriverQueue q(sim, nullptr);
   SimTime got_at = -1;
   sim.Spawn([](des::Simulator& s, DriverQueue& queue, SimTime& t) -> des::Task<> {
-    auto r = co_await queue.Pop();
+    auto r = co_await PopOne(queue);
     EXPECT_TRUE(r.has_value());
     t = s.now();
   }(sim, q, got_at));
@@ -67,7 +68,7 @@ TEST(DriverQueueTest, MetersPopsNotPushes) {
   q.Push(Rec(0, 50));
   EXPECT_EQ(meter.total_tuples(), 0u);  // nothing popped yet
   sim.Spawn([](DriverQueue& queue) -> des::Task<> {
-    (void)co_await queue.Pop();
+    (void)co_await PopOne(queue);
   }(q));
   sim.RunUntilIdle();
   EXPECT_EQ(meter.total_tuples(), 50u);
@@ -80,7 +81,7 @@ TEST(DriverQueueTest, MultipleConsumersEachRecordDeliveredOnce) {
   for (int c = 0; c < 3; ++c) {
     sim.Spawn([](DriverQueue& queue, int& n) -> des::Task<> {
       for (;;) {
-        auto r = co_await queue.Pop();
+        auto r = co_await PopOne(queue);
         if (!r) co_return;
         ++n;
       }
@@ -98,7 +99,7 @@ TEST(DriverQueueTest, CloseWakesWaitersWithNullopt) {
   int wakeups = 0;
   for (int i = 0; i < 4; ++i) {
     sim.Spawn([](DriverQueue& queue, int& n) -> des::Task<> {
-      auto r = co_await queue.Pop();
+      auto r = co_await PopOne(queue);
       if (!r.has_value()) ++n;
     }(q, wakeups));
   }
@@ -112,7 +113,7 @@ TEST(DriverQueueTest, DirectHandoffWhenConsumerWaiting) {
   DriverQueue q(sim, nullptr);
   SimTime seen = -1;
   sim.Spawn([](DriverQueue& queue, SimTime& t) -> des::Task<> {
-    auto r = co_await queue.Pop();
+    auto r = co_await PopOne(queue);
     t = r->event_time;
   }(q, seen));
   sim.ScheduleAt(1, [&] {
@@ -130,7 +131,7 @@ TEST(DriverQueueTest, RetainKeepsPoppedRecordsUntilAcked) {
   q.set_retain(true);
   for (SimTime t = 1; t <= 3; ++t) q.Push(Rec(t));
   sim.Spawn([](DriverQueue& queue) -> des::Task<> {
-    for (int i = 0; i < 3; ++i) (void)co_await queue.Pop();
+    for (int i = 0; i < 3; ++i) (void)co_await PopOne(queue);
   }(q));
   sim.RunUntilIdle();
   EXPECT_EQ(q.retained_records(), 3u);
@@ -150,7 +151,7 @@ TEST(DriverQueueTest, AckThroughEventTimeDropsFromTheFront) {
   q.Push(Rec(5));
   q.Push(Rec(2));
   sim.Spawn([](DriverQueue& queue) -> des::Task<> {
-    for (int i = 0; i < 3; ++i) (void)co_await queue.Pop();
+    for (int i = 0; i < 3; ++i) (void)co_await PopOne(queue);
   }(q));
   sim.RunUntilIdle();
   q.AckThroughEventTime(2);
@@ -164,7 +165,7 @@ TEST(DriverQueueTest, ReplayRedeliversUnackedAheadOfNewInput) {
   std::vector<SimTime> got;
   sim.Spawn([](DriverQueue& queue, std::vector<SimTime>& out) -> des::Task<> {
     for (;;) {
-      auto r = co_await queue.Pop();
+      auto r = co_await PopOne(queue);
       if (!r) co_return;
       out.push_back(r->event_time);
     }
@@ -191,7 +192,7 @@ TEST(DriverQueueTest, PauseParksPopsEvenWhenNonEmpty) {
   q.set_paused(true);
   SimTime seen_at = -1;
   sim.Spawn([](des::Simulator& s, DriverQueue& queue, SimTime& t) -> des::Task<> {
-    auto r = co_await queue.Pop();
+    auto r = co_await PopOne(queue);
     EXPECT_TRUE(r.has_value());
     t = s.now();
   }(sim, q, seen_at));
@@ -213,7 +214,7 @@ TEST(DriverQueueTest, CloseWhilePausedDeliversAfterUnpause) {
   sim.Spawn([](DriverQueue& queue, std::vector<SimTime>& out,
                bool& closed) -> des::Task<> {
     for (;;) {
-      auto r = co_await queue.Pop();
+      auto r = co_await PopOne(queue);
       if (!r) {
         closed = true;
         co_return;
@@ -264,7 +265,7 @@ TEST(DriverQueueTest, PushBurstHandsOffToParkedConsumerAtArrivalInstants) {
   } seen;
   sim.Spawn([](des::Simulator& s, DriverQueue& queue, Seen& sn) -> des::Task<> {
     for (;;) {
-      auto r = co_await queue.Pop();
+      auto r = co_await PopOne(queue);
       if (!r) co_return;
       sn.at.push_back(s.now());
       sn.event.push_back(r->event_time);

@@ -10,6 +10,7 @@
 
 #include "driver/experiment.h"
 #include "obs/flight_recorder.h"
+#include "pop_one.h"
 
 namespace sdps::driver {
 namespace {
@@ -32,7 +33,7 @@ class WedgingSut : public Sut {
  private:
   des::Task<> Pull(DriverQueue& queue) {
     for (;;) {
-      auto rec = co_await queue.Pop();
+      auto rec = co_await PopOne(queue);
       if (!rec) co_return;
       if (ctx_.sim->now() >= wedge_at_) continue;  // wedged: swallow input
       engine::OutputRecord out;

@@ -15,12 +15,16 @@
 // stay well under capacity to pin that regime — this still exercises the
 // batched fetcher/receiver code paths end to end at --batch=64.
 //
-// The recovery tests crash a worker mid-run at --batch=64: replay after
-// restore pops retained records through PopBatch in full batches, and the
-// delivery guarantee must be what the per-record plane provides.
+// The recovery tests crash a worker mid-run at --batch=1 and --batch=64:
+// the delivery guarantee must not depend on the batch size.
 #include <gtest/gtest.h>
 
+#include <memory>
+#include <string>
+
+#include "des/simulator.h"
 #include "driver/experiment.h"
+#include "driver/sut.h"
 #include "workloads/workloads.h"
 
 namespace sdps {
@@ -88,16 +92,17 @@ TEST(BatchIdentityTest, SparkJoin) {
                               /*attach_gc=*/false);
 }
 
-// -- Recovery at --batch=64 ---------------------------------------------------
+// -- Recovery at --batch=1 and --batch=64 ------------------------------------
 
 constexpr SimTime kRecoveryDuration = Seconds(60);
 constexpr SimTime kCrashAt = Seconds(30);
 constexpr SimTime kRestartDelay = Seconds(10);
 
-driver::ExperimentConfig RecoveryConfig(engine::QueryKind query, bool faulty) {
+driver::ExperimentConfig RecoveryConfig(engine::QueryKind query, int batch,
+                                        bool faulty) {
   driver::ExperimentConfig config = MakeExperiment(query, 2, 2.0e4, kRecoveryDuration);
   config.track_recovery = true;
-  config.batch = kBatch;
+  config.batch = batch;
   if (faulty) {
     config.faults.Crash("w1", kCrashAt, kRestartDelay);
     config.watchdog_timeout = Seconds(30);
@@ -105,45 +110,114 @@ driver::ExperimentConfig RecoveryConfig(engine::QueryKind query, bool faulty) {
   return config;
 }
 
-TEST(BatchRecoveryTest, FlinkAggregationStaysExactlyOnce) {
+// Both sizes run the same engine code: at 64 the replay after restore is
+// re-popped through PopBatch in full batches; at 1 every record is its own
+// batch, so the unsent-floor watermark cap holds a single popped record
+// across the crash.
+class BatchRecoveryTest : public ::testing::TestWithParam<int> {};
+
+TEST_P(BatchRecoveryTest, FlinkAggregationStaysExactlyOnce) {
   EngineTuning tuning;
   tuning.recovery = true;
   auto factory =
       MakeEngineFactory(Engine::kFlink, {engine::QueryKind::kAggregation, {}}, tuning);
-  const auto oracle =
-      driver::RunExperiment(RecoveryConfig(engine::QueryKind::kAggregation, false),
-                            factory);
+  const auto oracle = driver::RunExperiment(
+      RecoveryConfig(engine::QueryKind::kAggregation, GetParam(), false), factory);
   ASSERT_EQ(oracle.recovery.duplicates, 0u);
   driver::ExperimentConfig faulty =
-      RecoveryConfig(engine::QueryKind::kAggregation, true);
+      RecoveryConfig(engine::QueryKind::kAggregation, GetParam(), true);
   faulty.recovery_oracle = &oracle.observed_outputs;
   const auto result = driver::RunExperiment(faulty, factory);
   EXPECT_TRUE(result.failure.ok()) << result.failure.ToString();
   EXPECT_EQ(result.recovery.crash_time, kCrashAt);
   EXPECT_GT(result.recovery.outputs_total, 0u);
-  // The crash lands mid-batch: retained records are replayed and re-popped
-  // through PopBatch in full batches, yet no output is duplicated or lost.
+  // The crash lands mid-stream: retained records are replayed and
+  // re-popped, yet no output is duplicated or lost.
   EXPECT_EQ(result.recovery.duplicates, 0u);
   EXPECT_EQ(result.recovery.lost, 0u);
 }
 
-TEST(BatchRecoveryTest, StormAggregationReplaysAtLeastOnce) {
+TEST_P(BatchRecoveryTest, StormAggregationReplaysAtLeastOnce) {
   EngineTuning tuning;
   tuning.recovery = true;
   auto factory =
       MakeEngineFactory(Engine::kStorm, {engine::QueryKind::kAggregation, {}}, tuning);
-  const auto oracle =
-      driver::RunExperiment(RecoveryConfig(engine::QueryKind::kAggregation, false),
-                            factory);
+  const auto oracle = driver::RunExperiment(
+      RecoveryConfig(engine::QueryKind::kAggregation, GetParam(), false), factory);
   ASSERT_EQ(oracle.recovery.duplicates, 0u);
   driver::ExperimentConfig faulty =
-      RecoveryConfig(engine::QueryKind::kAggregation, true);
+      RecoveryConfig(engine::QueryKind::kAggregation, GetParam(), true);
   faulty.recovery_oracle = &oracle.observed_outputs;
   const auto result = driver::RunExperiment(faulty, factory);
-  // At-least-once: the batched ack/replay path re-fires windows, surfacing
-  // replayed tuples as duplicate identities — same guarantee as --batch=1.
+  // At-least-once: the ack/replay path re-fires windows, surfacing
+  // replayed tuples as duplicate identities.
   EXPECT_EQ(result.recovery.crash_time, kCrashAt);
   EXPECT_GT(result.recovery.duplicates, 0u);
+}
+
+INSTANTIATE_TEST_SUITE_P(Batch, BatchRecoveryTest, ::testing::Values(1, kBatch),
+                         [](const ::testing::TestParamInfo<int>& info) {
+                           return "b" + std::to_string(info.param);
+                         });
+
+// -- DES cost of the record-at-a-time plane -----------------------------------
+//
+// --batch=1 runs the same engine code as every other batch size, one record
+// per batch. It must cost no more simulator events than the dedicated
+// per-record coroutines it replaced: the ceilings are those coroutines'
+// event counts for these fixed-seed trials.
+
+/// Forwards to the engine and records the simulator's event count at Stop.
+class EventCountingSut : public driver::Sut {
+ public:
+  EventCountingSut(std::unique_ptr<driver::Sut> inner, uint64_t* events)
+      : inner_(std::move(inner)), events_(events) {}
+  std::string name() const override { return inner_->name(); }
+  Status Start(const driver::SutContext& ctx) override {
+    sim_ = ctx.sim;
+    return inner_->Start(ctx);
+  }
+  void Stop() override {
+    inner_->Stop();
+    *events_ = sim_->processed_events();
+  }
+
+ private:
+  std::unique_ptr<driver::Sut> inner_;
+  uint64_t* events_;
+  des::Simulator* sim_ = nullptr;
+};
+
+uint64_t RecordAtATimeEvents(Engine engine, engine::QueryKind query) {
+  driver::ExperimentConfig config = MakeExperiment(
+      query, 2, query == engine::QueryKind::kAggregation ? 1.0e5 : 2.0e4, Seconds(10));
+  config.batch = 1;
+  config.seed = 7;
+  auto inner = MakeEngineFactory(engine, {query, {}});
+  uint64_t events = 0;
+  const auto result = driver::RunExperiment(
+      config, [&](const driver::SutContext& ctx) -> std::unique_ptr<driver::Sut> {
+        return std::make_unique<EventCountingSut>(inner(ctx), &events);
+      });
+  EXPECT_TRUE(result.failure.ok()) << result.failure.ToString();
+  EXPECT_GT(result.output_records, 0u);
+  return events;
+}
+
+TEST(BatchOneCostTest, FlinkEventsDoNotExceedPerRecordPlane) {
+  EXPECT_LE(RecordAtATimeEvents(Engine::kFlink, engine::QueryKind::kAggregation), 96388u);
+  EXPECT_LE(RecordAtATimeEvents(Engine::kFlink, engine::QueryKind::kJoin), 20256u);
+}
+
+TEST(BatchOneCostTest, StormEventsDoNotExceedPerRecordPlane) {
+  // One CPU admission for spout + ack work (two before): 96293 and 47871.
+  EXPECT_LE(RecordAtATimeEvents(Engine::kStorm, engine::QueryKind::kAggregation), 106287u);
+  EXPECT_LE(RecordAtATimeEvents(Engine::kStorm, engine::QueryKind::kJoin), 49869u);
+}
+
+TEST(BatchOneCostTest, SparkEventsDoNotExceedPerRecordPlane) {
+  EXPECT_LE(RecordAtATimeEvents(Engine::kSpark, engine::QueryKind::kAggregation), 70673u);
+  EXPECT_LE(RecordAtATimeEvents(Engine::kSpark, engine::QueryKind::kJoin), 14670u);
 }
 
 }  // namespace

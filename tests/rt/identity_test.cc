@@ -22,6 +22,7 @@
 #include <vector>
 
 #include "driver/experiment.h"
+#include "driver/histogram.h"
 #include "engines/flink/flink.h"
 #include "engines/spark/spark.h"
 #include "engines/storm/storm.h"
@@ -223,6 +224,32 @@ TEST(RtIdentityTest, PacingInvariance) {
     EXPECT_EQ(iu->second.weight, ip->second.weight);
     ExpectNear(iu->second.value, ip->second.value, iu->first.first, iu->first.second);
   }
+  // Paced latency percentiles come from the sink's exact histogram: whole
+  // microseconds, ordered (sketch bucket bounds would be neither).
+  ASSERT_GT(paced.event_p50_s, 0.0);
+  EXPECT_LE(paced.event_p50_s, paced.event_p95_s);
+  EXPECT_LE(paced.event_p95_s, paced.event_p99_s);
+  for (const double p : {paced.event_p50_s, paced.event_p95_s, paced.event_p99_s}) {
+    EXPECT_EQ(ToSeconds(static_cast<SimTime>(std::llround(p * 1e6))), p);
+  }
+}
+
+TEST(RtLatencyTest, PercentilesAreNearestRankOfTheExactHistogram) {
+  driver::Histogram latency;
+  for (SimTime us = 1; us <= 997; ++us) latency.Add(us * us + 13);  // skewed
+  rt::RtResult result;
+  rt::SetEventLatencyPercentiles(latency, &result);
+  EXPECT_EQ(result.event_p50_s, ToSeconds(latency.Quantile(0.50)));
+  EXPECT_EQ(result.event_p95_s, ToSeconds(latency.Quantile(0.95)));
+  EXPECT_EQ(result.event_p99_s, ToSeconds(latency.Quantile(0.99)));
+  // Nearest rank over the 997 sorted samples: index round(q * 996).
+  EXPECT_EQ(result.event_p50_s, ToSeconds(499 * 499 + 13));
+  EXPECT_EQ(result.event_p99_s, ToSeconds(987 * 987 + 13));
+
+  rt::RtResult empty;
+  rt::SetEventLatencyPercentiles(driver::Histogram(), &empty);
+  EXPECT_EQ(empty.event_p50_s, 0.0);
+  EXPECT_EQ(empty.event_p99_s, 0.0);
 }
 
 }  // namespace
