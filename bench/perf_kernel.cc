@@ -1,6 +1,7 @@
 // Kernel microbenchmark for the hot paths the whole harness rides on:
 //   * des::Simulator fn-event throughput (self-rescheduling callback
-//     chains, 64 and 4096 concurrent chains — shallow and deep heaps);
+//     chains: 64 and 4096 concurrent chains at 1-7 us steps, and 64
+//     chains on the engine models' measured delay mix);
 //   * window-state Add/Fire throughput per backend (AggWindowState at
 //     1 000 and 100 000 keys, BufferedWindowState, JoinWindowState);
 //   * with --smoke, wall-clock of a small sustainable-rate search at
@@ -82,6 +83,49 @@ double FnEventsPerSec(int chains, uint64_t total) {
     }
     const double t0 = Now();
     for (auto& c : state) sim.ScheduleAfter(c.step, [&c] { c.Fire(); });
+    sim.RunUntilIdle();
+    return static_cast<double>(fired) / (Now() - t0);
+  });
+}
+
+// Chains whose delays follow the push mix the engine models make at
+// batch 1 (paper_b1): ~20% zero, a bulk at 200-1100 us, ~5% beyond the
+// wheel span (4096 us) to 20 ms. Delays come from a pre-drawn tape, so
+// the timing measures the scheduler, not the Rng.
+double FnEventsMixedPerSec(int chains, uint64_t total) {
+  constexpr size_t kTape = 4096;
+  std::vector<SimTime> tape(kTape);
+  Rng rng(7);
+  for (SimTime& d : tape) {
+    const uint64_t u = rng.NextBelow(100);
+    d = u < 20   ? 0
+        : u < 95 ? static_cast<SimTime>(200 + rng.NextBelow(900))
+                 : static_cast<SimTime>(4096 + rng.NextBelow(16000));
+  }
+  struct Chain {
+    des::Simulator* sim;
+    uint64_t* fired;
+    uint64_t remaining;
+    const SimTime* tape;
+    size_t pos;
+    void Fire() {
+      ++*fired;
+      if (--remaining > 0) {
+        sim->ScheduleAfter(tape[pos++ % kTape], [this] { Fire(); });
+      }
+    }
+  };
+  return BestOf([&] {
+    des::Simulator sim;
+    uint64_t fired = 0;
+    std::vector<Chain> state;
+    state.reserve(static_cast<size_t>(chains));
+    for (int i = 0; i < chains; ++i) {
+      state.push_back(Chain{&sim, &fired, total / static_cast<uint64_t>(chains), tape.data(),
+                            static_cast<size_t>(i) * 61});
+    }
+    const double t0 = Now();
+    for (auto& c : state) sim.ScheduleAfter(0, [&c] { c.Fire(); });
     sim.RunUntilIdle();
     return static_cast<double>(fired) / (Now() - t0);
   });
@@ -472,7 +516,7 @@ int main(int argc, char** argv) {
   const bool realtime = bench::Realtime() || rt_only;
   printf("== perf_kernel: DES + window-state hot-path throughput ==\n\n");
 
-  double fn64 = 0, fn4k = 0, agg1k = 0, agg100k = 0, buffered = 0, join = 0;
+  double fn64 = 0, fn4k = 0, fn_mixed = 0, agg1k = 0, agg100k = 0, buffered = 0, join = 0;
   double pipe_b1 = 0, pipe_bn = 0, rt_pipe = 0, rt_pipe_noprof = 0;
   double shuffle_radix = 0, shuffle_scalar = 0, shuffle_combine = 0;
   double pipe_shuffle = 0;
@@ -482,6 +526,8 @@ int main(int argc, char** argv) {
     printf("  fn_events_64     %8.1f M events/s\n", fn64 / 1e6);
     fn4k = FnEventsPerSec(4096, 4'000'000);
     printf("  fn_events_4096   %8.1f M events/s\n", fn4k / 1e6);
+    fn_mixed = FnEventsMixedPerSec(64, 4'000'000);
+    printf("  fn_events_mixed  %8.1f M events/s\n", fn_mixed / 1e6);
 
     const auto agg_fire = [](engine::AggWindowState& s, SimTime t) {
       return s.FireUpTo(t).size();
@@ -602,6 +648,7 @@ int main(int argc, char** argv) {
   if (!rt_only) {
     std::fprintf(f, "    \"fn_events_64_per_s\": %.0f,\n", fn64);
     std::fprintf(f, "    \"fn_events_4096_per_s\": %.0f,\n", fn4k);
+    std::fprintf(f, "    \"fn_events_mixed_per_s\": %.0f,\n", fn_mixed);
     std::fprintf(f, "    \"agg_1k_records_per_s\": %.0f,\n", agg1k);
     std::fprintf(f, "    \"agg_100k_records_per_s\": %.0f,\n", agg100k);
     std::fprintf(f, "    \"buffered_records_per_s\": %.0f,\n", buffered);

@@ -65,7 +65,7 @@ class Cluster {
 
   /// The hop chain of one Send/SendBatch: the sender's NIC out, the trunk
   /// when the two nodes sit in different groups, the receiver's NIC in.
-  /// Each hop is one Link admission and one heap event at the run's
+  /// Each hop is one Link admission and one DES event at the run's
   /// arrival; that event admits the next hop, and the last one resumes
   /// the caller. The chain runs in this awaiter, which lives in the
   /// awaiting coroutine's frame: a send allocates no coroutine frame.

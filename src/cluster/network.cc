@@ -1,7 +1,6 @@
 #include "cluster/network.h"
 
 #include <algorithm>
-#include <cmath>
 
 namespace sdps::cluster {
 
@@ -9,8 +8,7 @@ SimTime Link::TxTime(int64_t bytes) const {
   SDPS_CHECK_GE(bytes, 0);
   // rate_scale_ is exactly 1.0 outside fault windows, so the multiply is an
   // IEEE-754 identity and fault-free runs stay bit-identical to pre-chaos.
-  return static_cast<SimTime>(
-      std::llround(static_cast<double>(bytes) / (bytes_per_sec_ * rate_scale_) * 1e6));
+  return RoundUs(static_cast<double>(bytes) / (bytes_per_sec_ * rate_scale_) * 1e6);
 }
 
 SimTime Link::Occupy(SimTime tx, int64_t bytes) {

@@ -23,7 +23,7 @@ namespace sdps::cluster {
 /// next falls idle. A transfer admitted at now() with transmission time tx
 /// starts at max(now(), busy_until), holds the line until start + tx and
 /// arrives latency later. tx is fixed at admission, so each arrival time
-/// is known when the transfer is admitted: a hop is one heap event (the
+/// is known when the transfer is admitted: a hop is one DES event (the
 /// caller's resumption) and no coroutine frame. Arrival times equal those
 /// of a one-server FIFO des::Resource followed by a des::Delay of
 /// `latency` (the reference model in tests/cluster/network_test.cc). The

@@ -32,6 +32,16 @@ constexpr double ToMillis(SimTime t) {
   return static_cast<double>(t) / static_cast<double>(kMicrosPerMilli);
 }
 
+/// Rounds a microsecond amount to the nearest SimTime, ties away from zero;
+/// 0 for x <= 0 and for NaN. Bit-identical to
+/// std::max<SimTime>(0, std::llround(x)) for every x below 2^63, without
+/// the libm call: x - trunc(x) is exact in double arithmetic.
+inline SimTime RoundUs(double x) {
+  if (!(x > 0)) return 0;
+  const auto i = static_cast<SimTime>(x);
+  return i + (x - static_cast<double>(i) >= 0.5);
+}
+
 /// Human-readable rendering, e.g. "2.500s" or "750ms".
 std::string FormatDuration(SimTime t);
 

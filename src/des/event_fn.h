@@ -7,8 +7,8 @@
 // event (covering every built-in scheduling site: they capture a handful
 // of pointers and integers), falls back to the heap only for large or
 // non-trivially-copyable callables, and is always trivially relocatable —
-// moving an EventFn is a raw byte copy plus nulling the source — so heap
-// sifts never touch the allocator.
+// moving an EventFn is a raw byte copy plus nulling the source — so slab
+// growth never touches the allocator.
 #ifndef SDPS_DES_EVENT_FN_H_
 #define SDPS_DES_EVENT_FN_H_
 
@@ -22,9 +22,8 @@ namespace sdps::des {
 
 class EventFn {
  public:
-  /// Inline capture capacity. Sized so a heap Event is exactly one
-  /// 64-byte cache line while covering every scheduling site in the tree
-  /// (the largest capture is three 8-byte words).
+  /// Inline capture capacity. Sized to cover every scheduling site in the
+  /// tree (the largest capture is three 8-byte words).
   static constexpr size_t kInlineBytes = 24;
 
   EventFn() = default;

@@ -1,11 +1,12 @@
 // Discrete-event simulation kernel. A Simulator owns a time-ordered event
-// heap and the root coroutine processes spawned onto it. All randomness and
+// queue and the root coroutine processes spawned onto it. All randomness and
 // ordering is deterministic: ties in time are broken by insertion sequence.
 #ifndef SDPS_DES_SIMULATOR_H_
 #define SDPS_DES_SIMULATOR_H_
 
 #include <coroutine>
 #include <cstdint>
+#include <memory>
 #include <utility>
 #include <vector>
 
@@ -21,16 +22,29 @@ namespace sdps::des {
 /// thread (parallelism inside the simulated world is modelled, not real;
 /// real parallelism runs whole Simulators side by side — see sdps::exec).
 ///
-/// Events live in an indexed 4-ary min-heap: the heap itself holds only a
-/// packed 128-bit (time, seq) key plus a slot index, while the callback
-/// payloads (small-buffer-optimized des::EventFn) sit in a free-list slab
-/// and are written exactly once — sifts compare densely packed keys and
-/// never move a callback. Scheduling a callback with a small
-/// trivially-copyable capture never touches the allocator. Extraction
-/// order is identical to the historical std::push_heap binary heap:
-/// strictly by (time, seq).
+/// Events live in a two-tier queue. Callbacks (small-buffer-optimized
+/// des::EventFn) sit in a free-list slab and are written exactly once;
+/// scheduling a callback with a small trivially-copyable capture never
+/// touches the allocator.
+///  * A timing wheel of kWheelSpan one-microsecond buckets holds every
+///    event due before now() + kWheelSpan. A bucket is a FIFO of slab
+///    slots linked through the slots themselves; a two-level occupancy
+///    bitmap finds the next non-empty bucket with two count-trailing-zeros.
+///  * An indexed 4-ary min-heap on a packed (time, seq) key holds the rest
+///    (the overflow tier, a few percent of events in the engine models).
+/// Extraction order is exactly (time, seq). Wheel entries always lie in
+/// [now(), now() + kWheelSpan), so a bucket holds one time and its FIFO is
+/// insertion order. An overflow event at time t was pushed while
+/// now() <= t - kWheelSpan, before any wheel event at t, so when both
+/// tiers hold time t the overflow event runs first; neither tier ever
+/// migrates into the other.
 class Simulator final : public TimeSource {
  public:
+  /// Timing-wheel span in microseconds (one bucket each). A power of two
+  /// covering the engine models' delays: >99.9% of paper_b1's pushes are
+  /// under 4096 us; later events go to the overflow heap.
+  static constexpr SimTime kWheelSpan = 4096;
+
   Simulator() = default;
   ~Simulator() override;
 
@@ -72,9 +86,9 @@ class Simulator final : public TimeSource {
   void Spawn(Task<> task);
 
   /// Executes the next pending event. Returns false when none remain.
-  bool Step();
+  bool Step() { return StepUntil(INT64_MAX); }
 
-  /// Runs until the event heap is empty or Stop() is called.
+  /// Runs until no event is pending or Stop() is called.
   void RunUntilIdle();
 
   /// Processes all events with time <= t, then advances now() to t.
@@ -89,13 +103,21 @@ class Simulator final : public TimeSource {
 
   /// Total events executed so far (kernel benchmarking / diagnostics).
   uint64_t processed_events() const { return processed_events_; }
-  size_t pending_events() const { return heap_.size(); }
+  size_t pending_events() const { return wheel_events_ + overflow_.size(); }
 
  private:
-  /// Packed heap key: time in the high 64 bits, insertion seq in the low
+  static constexpr uint32_t kWheelMask = kWheelSpan - 1;
+  static constexpr uint32_t kWordBits = 64;
+  static constexpr uint32_t kWheelWords = kWheelSpan / kWordBits;
+  static_assert(kWheelWords == kWordBits, "summary bitmap is one word");
+  static constexpr uint32_t kNoSlot = UINT32_MAX;
+  /// Slab capacity reserved on the first push (16 KB), so set-up, which
+  /// spawns every process, does not regrow the slab slot by slot.
+  static constexpr size_t kInitialSlots = 256;
+
+  /// Overflow-heap key: time in the high 64 bits, insertion seq in the low
   /// 64, so a single unsigned 128-bit compare is exactly (time, seq)
-  /// lexicographic order — the same tie-break rule as the historical
-  /// binary heap. Valid because simulated time is never negative.
+  /// lexicographic order. Valid because simulated time is never negative.
   using EventKey = unsigned __int128;
   static EventKey MakeKey(SimTime t, uint64_t seq) {
     return (static_cast<EventKey>(static_cast<uint64_t>(t)) << 64) | seq;
@@ -109,22 +131,44 @@ class Simulator final : public TimeSource {
     uint32_t slot;  // index into slots_
   };
 
-  /// Initial event capacity, reserved on the first push so the first few
-  /// thousand events never re-heapify through vector growth.
-  static constexpr size_t kInitialEventCapacity = 4096;
+  /// A slab entry. `next` links a pending wheel event to the one after it
+  /// in its bucket (kNoSlot at the bucket's tail) and a free slot to the
+  /// next free one.
+  struct Slot {
+    EventFn fn;
+    uint32_t next;
+  };
+
+  struct Bucket {
+    uint32_t head;
+    uint32_t tail;
+  };
 
   void Push(SimTime t, EventFn fn);
-  /// Pops the earliest event, moves its callback out of the slab into
-  /// `fn`, recycles the slot, and returns the event time.
-  SimTime PopNext(EventFn& fn);
+  /// Runs the earliest pending event if its time is <= limit; returns
+  /// false (and runs nothing) otherwise or when no event is pending.
+  bool StepUntil(SimTime limit);
+  /// Microseconds from now() to the earliest non-empty bucket. Requires a
+  /// non-empty wheel.
+  uint32_t NextWheelDelay() const;
+  void PushBucket(uint32_t bucket, uint32_t slot);
+  uint32_t PopBucket(uint32_t bucket);
+  void PushOverflow(SimTime t, uint32_t slot);
+  uint32_t PopOverflow();
 
   SimTime now_ = 0;
   uint64_t next_seq_ = 0;
   uint64_t processed_events_ = 0;
+  size_t wheel_events_ = 0;
   bool stop_requested_ = false;
-  std::vector<HeapEntry> heap_;   // 4-ary min-heap on key; root at 0
-  std::vector<EventFn> slots_;    // callback slab, indexed by HeapEntry::slot
-  std::vector<uint32_t> free_slots_;
+  uint64_t summary_ = 0;                 // bit w: occupied_[w] != 0
+  uint64_t occupied_[kWheelWords] = {};  // bit b: bucket b non-empty
+  // Each bucket's FIFO ends; read only while the bucket's occupancy bit is
+  // set, so they are never initialised.
+  std::unique_ptr<Bucket[]> buckets_{new Bucket[kWheelSpan]};
+  std::vector<HeapEntry> overflow_;  // 4-ary min-heap on key; root at 0
+  std::vector<Slot> slots_;          // callback slab
+  uint32_t free_head_ = kNoSlot;     // free-slot list through Slot::next
   std::vector<std::coroutine_handle<>> roots_;
 };
 

@@ -4,7 +4,7 @@
 // A RecordBatch is a run of records that entered the data plane together:
 // the generator emits one burst per wakeup, DriverQueue::PopBatch hands a
 // source up to `batch` queued records per resume, and the FIFO resources
-// admit the whole run with one heap event: a worker CPU
+// admit the whole run with one DES event: a worker CPU
 // (des::Resource::UseBatch) schedules one completion, a cluster::Link hop
 // one resumption at the run's arrival. Per-record event-times, lineage
 // stamps, metering, and window mutations are all preserved — batching

@@ -1,7 +1,6 @@
 #include "engines/flink/flink.h"
 
 #include <algorithm>
-#include <cmath>
 #include <limits>
 #include <map>
 #include <memory>
@@ -36,10 +35,6 @@ using engine::Record;
 constexpr SimTime kFinalWatermark = std::numeric_limits<SimTime>::max() / 4;
 /// Checkpoint barriers travel in-band like watermarks, tagged by origin.
 constexpr int kBarrierOrigin = -1;
-
-SimTime CostUs(double us) {
-  return std::max<SimTime>(0, static_cast<SimTime>(std::llround(us)));
-}
 
 class FlinkSut : public driver::Sut {
  public:
@@ -241,7 +236,7 @@ class FlinkSut : public driver::Sut {
       for (size_t i = 0; i < k; ++i) {
         recs[i].ingest_time = arrivals[i];
         obs::LineageTracker::Default().StampIngested(recs[i].lineage, arrivals[i]);
-        cost += CostUs(config_.source_cost_us * recs[i].weight);
+        cost += RoundUs(config_.source_cost_us * recs[i].weight);
         alloc += config_.alloc_bytes_per_tuple * recs[i].weight;
       }
       co_await my_worker.cpu().Use(cost);
@@ -268,7 +263,7 @@ class FlinkSut : public driver::Sut {
         const uint32_t i = plan.index[j];
         const int w = static_cast<int>(plan.dests[i]) % workers;  // WorkerOfTask
         if (w == my_w) continue;
-        cost += CostUs(config_.remote_serde_cost_us * engine::PhysicalTuples(run[i]));
+        cost += RoundUs(config_.remote_serde_cost_us * engine::PhysicalTuples(run[i]));
         remote.Add(w, engine::WireBytes(run[i]));
       }
       if (!remote.workers().empty()) {
@@ -393,7 +388,7 @@ class FlinkSut : public driver::Sut {
     const double kb = static_cast<double>(state_bytes) / 1024.0;
     span.Arg("state_kb", kb);
     co_await worker.cpu().Use(
-        config_.alignment_stall + CostUs(config_.snapshot_cost_us_per_kb * kb));
+        config_.alignment_stall + RoundUs(config_.snapshot_cost_us_per_kb * kb));
     snapshot_bytes_total_ += state_bytes;
     obs_checkpoints_->Add(1);
   }
@@ -482,7 +477,7 @@ class FlinkSut : public driver::Sut {
             const double slow = bytes_after[m] > spill_threshold_bytes_
                                     ? config_.spill_slowdown
                                     : 1.0;
-            costs.push_back(CostUs(config_.agg_update_cost_us *
+            costs.push_back(RoundUs(config_.agg_update_cost_us *
                                    engine::PhysicalTuples(rec) *
                                    added.window_updates * slow));
             alloc += config_.alloc_bytes_per_tuple * engine::PhysicalTuples(rec);
@@ -560,7 +555,7 @@ class FlinkSut : public driver::Sut {
             late_dropped_tuples_ += added.late_tuples;
             metrics_.records->Add(rec.weight);
             metrics_.late_dropped->Add(added.late_tuples);
-            costs.push_back(CostUs(config_.join_buffer_cost_us * rec.weight *
+            costs.push_back(RoundUs(config_.join_buffer_cost_us * rec.weight *
                                    added.window_updates * slow));
             lineages.push_back(rec.lineage);
             alloc += config_.alloc_bytes_per_tuple * rec.weight;
@@ -589,7 +584,7 @@ class FlinkSut : public driver::Sut {
             span.Arg("outputs", static_cast<double>(fired.outputs.size()));
             span.Arg("join_work", static_cast<double>(fired.join_work));
             if (fired.join_work > 0) {
-              co_await my_worker.cpu().Use(CostUs(
+              co_await my_worker.cpu().Use(RoundUs(
                   config_.join_probe_cost_us * static_cast<double>(fired.join_work)));
             }
             if (!fired.outputs.empty()) {
@@ -611,7 +606,7 @@ class FlinkSut : public driver::Sut {
       obs::LineageTracker::Default().StampFired(out.lineage, ctx_.sim->now());
     }
     co_await from.cpu().Use(
-        CostUs(config_.emit_cost_us * static_cast<double>(outs.size())));
+        RoundUs(config_.emit_cost_us * static_cast<double>(outs.size())));
     int64_t bytes = 0;
     for (const auto& out : outs) bytes += engine::WireBytes(out);
     cluster::Node& sink_node = ctx_.cluster->driver(0);

@@ -1,7 +1,6 @@
 #include "engines/spark/spark.h"
 
 #include <algorithm>
-#include <cmath>
 #include <deque>
 #include <limits>
 #include <map>
@@ -33,10 +32,6 @@ using des::Latch;
 using des::Task;
 using engine::Record;
 using engine::WindowKeyAgg;
-
-SimTime CostUs(double us) {
-  return std::max<SimTime>(0, static_cast<SimTime>(std::llround(us)));
-}
 
 /// Sentinel frontier once every receiver drained: all buckets are sealed.
 constexpr SimTime kFinalFrontier = std::numeric_limits<SimTime>::max() / 4;
@@ -346,7 +341,7 @@ class SparkSut : public driver::Sut {
       int64_t alloc = 0;
       uint64_t tuples = 0;
       for (const Record& rec : recs) {
-        cost += CostUs(config_.receiver_cost_us * receiver_overhead_ *
+        cost += RoundUs(config_.receiver_cost_us * receiver_overhead_ *
                        (1.0 + config_.receiver_contention * busy_frac) * rec.weight);
         alloc += config_.alloc_bytes_per_tuple * rec.weight;
         tuples += rec.weight;
@@ -445,7 +440,7 @@ class SparkSut : public driver::Sut {
   }
 
   Task<> RechargeTask(int w, double us, Latch& done) {
-    co_await ctx_.cluster->worker(w).cpu().Use(CostUs(us));
+    co_await ctx_.cluster->worker(w).cpu().Use(RoundUs(us));
     done.CountDown();
   }
 
@@ -459,7 +454,7 @@ class SparkSut : public driver::Sut {
     const int n_map = static_cast<int>(job.blocks.size());
     // Serial task dispatch on the master (DAG scheduler).
     co_await ctx_.cluster->master().cpu().Use(
-        CostUs(config_.task_dispatch_ms * 1000.0 * overhead_ *
+        RoundUs(config_.task_dispatch_ms * 1000.0 * overhead_ *
                static_cast<double>(n_map + num_reduce_)));
 
     // -- Stage 1: map / combine / shuffle write (blocking stage) ------------
@@ -569,7 +564,7 @@ class SparkSut : public driver::Sut {
     const double cost_us =
         config_.task_overhead_ms * 1000.0 +
         map_cost * overhead_ * slow * static_cast<double>(block.tuples);
-    co_await w.cpu().Use(CostUs(cost_us));
+    co_await w.cpu().Use(RoundUs(cost_us));
     if (recovery_) job.cpu_us[static_cast<size_t>(block.home_worker)] += cost_us;
     w.RecordAllocation(config_.alloc_bytes_per_tuple *
                        static_cast<int64_t>(block.tuples));
@@ -698,7 +693,7 @@ class SparkSut : public driver::Sut {
             : config_.reduce_tuple_cost_us * static_cast<double>(partial.tuples);
     const double merge_cost_us =
         config_.task_overhead_ms * 1000.0 + merge_cost * overhead_ * slow;
-    co_await w.cpu().Use(CostUs(merge_cost_us));
+    co_await w.cpu().Use(RoundUs(merge_cost_us));
     const size_t widx =
         static_cast<size_t>(r) % static_cast<size_t>(ctx_.cluster->num_workers());
     if (recovery_) job.cpu_us[widx] += merge_cost_us;
@@ -719,7 +714,7 @@ class SparkSut : public driver::Sut {
         // because event-time grows with batch index.
         const double evict_cost_us = config_.reduce_entry_cost_us * overhead_ *
                                      static_cast<double>(old.aggs.size());
-        co_await w.cpu().Use(CostUs(evict_cost_us));
+        co_await w.cpu().Use(RoundUs(evict_cost_us));
         if (recovery_) job.cpu_us[widx] += evict_cost_us;
         for (const auto& [key, agg] : old.aggs) {
           auto it = st.running.find(key);
@@ -824,7 +819,7 @@ class SparkSut : public driver::Sut {
         (config_.reduce_tuple_cost_us * static_cast<double>(batch_tuples) +
          config_.reduce_entry_cost_us * static_cast<double>(tree_entries)) *
             overhead_ * slow;
-    co_await w.cpu().Use(CostUs(merge_cost_us));
+    co_await w.cpu().Use(RoundUs(merge_cost_us));
     const size_t widx =
         static_cast<size_t>(r) % static_cast<size_t>(ctx_.cluster->num_workers());
     if (recovery_) job.cpu_us[widx] += merge_cost_us;
@@ -880,7 +875,7 @@ class SparkSut : public driver::Sut {
     }
     const double eval_cost_us =
         config_.reduce_entry_cost_us * static_cast<double>(entries) * overhead_ * slow;
-    co_await w.cpu().Use(CostUs(eval_cost_us));
+    co_await w.cpu().Use(RoundUs(eval_cost_us));
     if (recovery_) {
       job.cpu_us[static_cast<size_t>(r) %
                  static_cast<size_t>(ctx_.cluster->num_workers())] += eval_cost_us;
@@ -924,7 +919,7 @@ class SparkSut : public driver::Sut {
     }
     const double eval_cost_us = config_.join_tuple_cost_us * overhead_ * slow *
                                 static_cast<double>(window_tuples);
-    co_await w.cpu().Use(CostUs(eval_cost_us));
+    co_await w.cpu().Use(RoundUs(eval_cost_us));
     if (recovery_) {
       job.cpu_us[static_cast<size_t>(r) %
                  static_cast<size_t>(ctx_.cluster->num_workers())] += eval_cost_us;
@@ -976,7 +971,7 @@ class SparkSut : public driver::Sut {
                         agg.lineage, window_end});
       }
     }
-    co_await w.cpu().Use(CostUs(eval_cost_us * overhead_ * slow));
+    co_await w.cpu().Use(RoundUs(eval_cost_us * overhead_ * slow));
     if (recovery_) {
       job.cpu_us[static_cast<size_t>(r) %
                  static_cast<size_t>(ctx_.cluster->num_workers())] +=
@@ -1018,7 +1013,7 @@ class SparkSut : public driver::Sut {
     }
     const double eval_cost_us = config_.join_tuple_cost_us * overhead_ * slow *
                                 static_cast<double>(window_tuples);
-    co_await w.cpu().Use(CostUs(eval_cost_us));
+    co_await w.cpu().Use(RoundUs(eval_cost_us));
     if (recovery_) {
       job.cpu_us[static_cast<size_t>(r) %
                  static_cast<size_t>(ctx_.cluster->num_workers())] += eval_cost_us;
@@ -1034,7 +1029,7 @@ class SparkSut : public driver::Sut {
       obs::LineageTracker::Default().StampFired(out.lineage, ctx_.sim->now());
     }
     co_await from.cpu().Use(
-        CostUs(config_.emit_cost_us * static_cast<double>(outs.size())));
+        RoundUs(config_.emit_cost_us * static_cast<double>(outs.size())));
     int64_t bytes = 0;
     for (const auto& out : outs) bytes += engine::WireBytes(out);
     co_await ctx_.cluster->Send(from, ctx_.cluster->driver(0), bytes);

@@ -1,7 +1,6 @@
 #include "engines/storm/storm.h"
 
 #include <algorithm>
-#include <cmath>
 #include <limits>
 #include <optional>
 
@@ -31,10 +30,6 @@ using engine::Message;
 using engine::Record;
 
 constexpr SimTime kFinalWatermark = std::numeric_limits<SimTime>::max() / 4;
-
-SimTime CostUs(double us) {
-  return std::max<SimTime>(0, static_cast<SimTime>(std::llround(us)));
-}
 
 double InterpolateOverhead(const std::vector<std::pair<int, double>>& table, int workers) {
   SDPS_CHECK(!table.empty());
@@ -215,8 +210,8 @@ class StormSut : public driver::Sut {
       for (size_t i = 0; i < k; ++i) {
         recs[i].ingest_time = arrivals[i];
         obs::LineageTracker::Default().StampIngested(recs[i].lineage, arrivals[i]);
-        cost += CostUs(config_.spout_cost_us * overhead_ * recs[i].weight);
-        cost += CostUs(config_.ack_cost_us * overhead_ * recs[i].weight);
+        cost += RoundUs(config_.spout_cost_us * overhead_ * recs[i].weight);
+        cost += RoundUs(config_.ack_cost_us * overhead_ * recs[i].weight);
         alloc += config_.alloc_bytes_per_tuple * recs[i].weight;
       }
       co_await my_worker.cpu().Use(cost);
@@ -231,7 +226,7 @@ class StormSut : public driver::Sut {
       remote.Clear();
       route.clear();
       auto add_remote = [&](int w, const Record& rec) {
-        cost += CostUs(config_.remote_serde_cost_us * overhead_ *
+        cost += RoundUs(config_.remote_serde_cost_us * overhead_ *
                        engine::PhysicalTuples(rec));
         remote.Add(w, engine::WireBytes(rec));
       };
@@ -479,7 +474,7 @@ class StormSut : public driver::Sut {
             metrics_.records->Add(rec.weight);
             metrics_.late_dropped->Add(added.late_tuples);
             // Physical tuples: a combiner partial buffers as one object.
-            costs.push_back(CostUs(config_.buffer_add_cost_us * overhead_ *
+            costs.push_back(RoundUs(config_.buffer_add_cost_us * overhead_ *
                                    engine::PhysicalTuples(rec) * added.window_updates));
             alloc += config_.alloc_bytes_per_tuple * engine::PhysicalTuples(rec);
           }
@@ -505,7 +500,7 @@ class StormSut : public driver::Sut {
             span->Arg(work.arg, static_cast<double>(work.units));
             span->Arg("outputs", static_cast<double>(fired.outputs.size()));
           }
-          if (work.units > 0) co_await my_worker.cpu().Use(CostUs(work.cost_us));
+          if (work.units > 0) co_await my_worker.cpu().Use(RoundUs(work.cost_us));
           ChargeHeap(my_worker, state.state_bytes() - last_state_bytes);
           last_state_bytes = state.state_bytes();
           if (!fired.outputs.empty()) co_await EmitOutputs(my_worker, fired.outputs);
@@ -519,7 +514,7 @@ class StormSut : public driver::Sut {
       obs::LineageTracker::Default().StampFired(out.lineage, ctx_.sim->now());
     }
     co_await from.cpu().Use(
-        CostUs(config_.emit_cost_us * overhead_ * static_cast<double>(outs.size())));
+        RoundUs(config_.emit_cost_us * overhead_ * static_cast<double>(outs.size())));
     int64_t bytes = 0;
     for (const auto& out : outs) bytes += engine::WireBytes(out);
     cluster::Node& sink_node = ctx_.cluster->driver(0);
